@@ -78,8 +78,9 @@ double RunStream(core::ScoringEngine* engine,
                  const std::vector<Request>& requests, Vec* scores_out) {
   scores_out->clear();
   Stopwatch sw;
+  Vec scores;
   for (const Request& req : requests) {
-    const Vec scores = engine->ScoreTweet(req.tweet, req.users);
+    engine->ScoreTweetInto(req.tweet, req.users, &scores);
     scores_out->insert(scores_out->end(), scores.begin(), scores.end());
   }
   return sw.ElapsedSeconds();

@@ -9,12 +9,20 @@
 // outputs with observability enabled, disabled at runtime, or compiled out
 // (pinned by obs_test's on/off bit-exactness run; see DESIGN.md §9).
 //
+// Kill-switch contract: counters and gauges always count. They are the one
+// record of every count in the process (the serving daemon's metrics reply
+// reads nothing else), so `RETINA_OBS=0` and -DRETINA_OBS_DISABLED leave
+// them live. The switch gates the instruments whose cost is a clock read
+// or a lock: histograms, windowed histograms, series, spans, and timeline
+// tracing.
+//
 // Cost model:
-//   - disabled (runtime): one relaxed atomic load + one predictable branch
-//     per instrumentation site;
-//   - compiled out (-DRETINA_OBS_DISABLED): sites reduce to nothing;
-//   - enabled: counters are sharded relaxed fetch_adds (no cacheline
-//     ping-pong under ParallelFor), histograms one fetch_add into a log2
+//   - counters/gauges: sharded relaxed fetch_adds (no cacheline ping-pong
+//     under ParallelFor) / one relaxed store, in every build;
+//   - gated instruments, disabled at runtime: one relaxed atomic load + one
+//     predictable branch per site;
+//   - gated instruments, compiled out: sites reduce to nothing;
+//   - gated instruments, enabled: histograms one fetch_add into a log2
 //     bucket, spans two steady_clock reads + three fetch_adds.
 //
 // Registry lookups (GetCounter etc.) take a mutex and are NOT for hot
@@ -47,8 +55,9 @@ extern std::atomic<bool> g_enabled;
 size_t ThreadShard();
 }  // namespace internal
 
-/// Runtime kill switch. Defaults to on unless the RETINA_OBS environment
-/// variable is set to "0" at process start.
+/// Runtime kill switch for the gated instruments (everything but counters
+/// and gauges). Defaults to on unless the RETINA_OBS environment variable
+/// is set to "0" at process start.
 inline bool Enabled() {
   if constexpr (!kCompiledIn) return false;
   return internal::g_enabled.load(std::memory_order_relaxed);
@@ -56,13 +65,13 @@ inline bool Enabled() {
 void SetEnabled(bool enabled);
 
 /// \brief Monotonic event counter, sharded to stay cheap when many pool
-/// workers increment the same counter concurrently.
+/// workers increment the same counter concurrently. Counts regardless of
+/// the kill switch.
 class Counter {
  public:
   static constexpr size_t kShards = 16;
 
   void Add(uint64_t n = 1) {
-    if (!Enabled()) return;
     shards_[internal::ThreadShard() % kShards].v.fetch_add(
         n, std::memory_order_relaxed);
   }
@@ -86,17 +95,14 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// \brief Last-value (Set) / high-watermark (UpdateMax) instrument.
+/// \brief Last-value (Set) / high-watermark (UpdateMax) instrument. Like
+/// Counter, it records regardless of the kill switch.
 class Gauge {
  public:
-  void Set(int64_t v) {
-    if (!Enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
 
   /// Raises the gauge to `v` if larger (e.g. peak queue depth).
   void UpdateMax(int64_t v) {
-    if (!Enabled()) return;
     int64_t cur = value_.load(std::memory_order_relaxed);
     while (v > cur &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {

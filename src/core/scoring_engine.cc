@@ -132,18 +132,15 @@ SparseVec ScoringEngine::FetchHistoryBlock(NodeId u, BlockSource* source) {
     store::LookupOutcome outcome;
     Status st = store_->Lookup(u, &from_store, &outcome);
     if (!st.ok()) {
-      ++stats_.store_errors;
       hooks_.store_errors->Add(1);
       RETINA_LOG(Warning) << "user store lookup failed for user " << u
                           << ": " << st.message() << "; recomputing";
     } else if (outcome == store::LookupOutcome::kFound) {
-      ++stats_.store_hits;
       hooks_.store_hits->Add(1);
       obs::TraceInstant("store.tier.hit");
       *source = BlockSource::kStore;
       return from_store;
     } else {
-      ++stats_.store_misses;
       hooks_.store_misses->Add(1);
       if (outcome != store::LookupOutcome::kAbsentBlock) {
         // Range or Bloom skip: the store answered without touching a block.
@@ -171,49 +168,41 @@ ScoringEngine::TweetEntry ScoringEngine::BuildTweetEntry(
 }
 
 const ScoringEngine::TweetEntry& ScoringEngine::GetTweetEntry(
-    const datagen::Tweet& tweet) {
+    const datagen::Tweet& tweet, bool* hit) {
+  *hit = false;
   if (!options_.cache_features) {
     scratch_entry_ = BuildTweetEntry(tweet);
     return scratch_entry_;
   }
-  if (TweetEntry* hit = tweet_cache_.Get(tweet.id)) {
-    ++stats_.tweet_hits;
+  if (TweetEntry* cached = tweet_cache_.Get(tweet.id)) {
+    *hit = true;
     hooks_.tweet_hits->Add(1);
     obs::TraceInstant("serving.tweet_cache.hit");
-    return *hit;
+    return *cached;
   }
-  ++stats_.tweet_misses;
   hooks_.tweet_misses->Add(1);
   obs::TraceInstant("serving.tweet_cache.miss");
   return *tweet_cache_.Put(tweet.id, BuildTweetEntry(tweet));
 }
 
-Vec ScoringEngine::ScoreTweet(const datagen::Tweet& tweet,
-                              const std::vector<NodeId>& users) {
-  Vec scores;
-  ScoreTweetInto(tweet, users, &scores);
-  return scores;
-}
-
 void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
                                    const std::vector<NodeId>& users,
                                    Vec* scores) {
-  // Mint a per-request trace id (requests replayed inside ScoreCandidates
-  // inherit that batch's id instead), then open the request span under it
-  // so every event below — cache hits/misses, chunk work on pool threads —
-  // carries the request identity in the exported timeline.
+  // Mint a per-request trace id (requests replayed inside
+  // ScoreCandidatesInto inherit that batch's id instead), then open the
+  // request span under it so every event below — cache hits/misses, chunk
+  // work on pool threads — carries the request identity in the exported
+  // timeline.
   obs::TraceRequestScope trace_request;
   RETINA_OBS_SPAN("serving.score_tweet");
   const bool obs_on = obs::Enabled();
   std::chrono::steady_clock::time_point request_start;
   if (obs_on) request_start = std::chrono::steady_clock::now();
 
-  ++stats_.requests;
-  stats_.candidates += users.size();
   hooks_.requests->Add(1);
   hooks_.candidates->Add(users.size());
-  const uint64_t misses_before = stats_.user_misses + stats_.tweet_misses;
-  const TweetEntry& entry = GetTweetEntry(tweet);
+  bool tweet_hit = false;
+  const TweetEntry& entry = GetTweetEntry(tweet, &tweet_hit);
 
   // Request epoch: candidate feature rows are assembled straight into the
   // thread's scratch arena — no per-candidate Vec, no std::vector<Vec>.
@@ -236,20 +225,15 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
     if (options_.cache_features) {
       block = user_cache_.Get(u);
       if (block != nullptr) {
-        ++stats_.user_hits;
         ++batch_hits;
         obs::TraceInstant("serving.user_cache.hit");
       } else {
-        ++stats_.user_misses;
         ++batch_misses;
         obs::TraceInstant("serving.user_cache.miss");
         SparseVec fetched = FetchHistoryBlock(u, &source);
         const size_t cost = HistoryBlockCost(fetched);
         block = user_cache_.Put(u, std::move(fetched), cost);
-        if (source == BlockSource::kStore) {
-          ++stats_.store_promotes;
-          hooks_.store_promotes->Add(1);
-        }
+        if (source == BlockSource::kStore) hooks_.store_promotes->Add(1);
       }
     } else {
       fresh = FetchHistoryBlock(u, &source);
@@ -274,10 +258,9 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
                                                 row);
     row_ptrs[i] = row;
   }
-  stats_.user_evictions = user_cache_.evictions();
   hooks_.user_hits->Add(batch_hits);
   hooks_.user_misses->Add(batch_misses);
-  hooks_.user_evictions->Set(static_cast<int64_t>(stats_.user_evictions));
+  hooks_.user_evictions->Set(static_cast<int64_t>(user_cache_.evictions()));
 
   scores->resize(n);
   if (options_.batched) {
@@ -301,9 +284,7 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
     // A request is "warm" when every per-user and per-tweet invariant came
     // out of a cache; any recomputation makes it "cold". Attribution is
     // purely observational — scores are bit-identical either way.
-    const bool warm = options_.cache_features &&
-                      stats_.user_misses + stats_.tweet_misses ==
-                          misses_before;
+    const bool warm = tweet_hit && batch_misses == 0;
     const uint64_t elapsed = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - request_start)
@@ -313,18 +294,10 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
   }
 }
 
-Vec ScoringEngine::ScoreCandidates(
-    const RetweetTask& task,
-    const std::vector<RetweetCandidate>& candidates) {
-  Vec scores;
-  ScoreCandidatesInto(task, candidates, &scores);
-  return scores;
-}
-
 void ScoringEngine::ScoreCandidatesInto(
     const RetweetTask& task,
     const std::vector<RetweetCandidate>& candidates, Vec* scores) {
-  // One trace id for the whole batch replay; the per-tweet ScoreTweet
+  // One trace id for the whole batch replay; the per-tweet ScoreTweetInto
   // requests below nest under it rather than minting their own.
   obs::TraceRequestScope trace_batch;
   const auto& tweets = extractor_->world().tweets();

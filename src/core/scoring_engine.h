@@ -27,11 +27,14 @@
 // tiers; a corrupt store block logs a warning and falls back to
 // recomputation instead of failing the request.
 //
-// Observability: beyond the aggregate counters/histograms, every
-// ScoreTweet call opens a per-request timeline trace id (ScoreCandidates
-// opens one per batch that its requests inherit), and cache hit/miss
-// instants plus the model-forward chunk work carry that id in the
-// exported Chrome trace (see common/trace.h and --trace-out).
+// Observability: the engine's counts live only in the obs registry
+// (serving.*, store.tier.*), which counts in every build; read them as a
+// Registry::SnapshotDelta around the calls of interest. Beyond the
+// counters and histograms, every ScoreTweetInto call opens a per-request
+// timeline trace id (ScoreCandidatesInto opens one per batch that its
+// requests inherit), and cache hit/miss instants plus the model-forward
+// chunk work carry that id in the exported Chrome trace (see
+// common/trace.h and --trace-out).
 
 #ifndef RETINA_CORE_SCORING_ENGINE_H_
 #define RETINA_CORE_SCORING_ENGINE_H_
@@ -70,20 +73,6 @@ struct ScoringEngineOptions {
   bool cache_features = true;
 };
 
-struct ScoringEngineStats {
-  uint64_t requests = 0;    ///< ScoreTweet calls
-  uint64_t candidates = 0;  ///< total candidates scored
-  uint64_t user_hits = 0;
-  uint64_t user_misses = 0;
-  uint64_t user_evictions = 0;
-  uint64_t tweet_hits = 0;
-  uint64_t tweet_misses = 0;
-  uint64_t store_hits = 0;      ///< user blocks served from the disk store
-  uint64_t store_misses = 0;    ///< store consulted, user absent -> computed
-  uint64_t store_promotes = 0;  ///< store hits promoted into the LRU
-  uint64_t store_errors = 0;    ///< corrupt store reads (fell back to compute)
-};
-
 /// \brief Wraps a trained Retina + FeatureExtractor behind a serving API.
 class ScoringEngine {
  public:
@@ -102,33 +91,25 @@ class ScoringEngine {
       ScoringEngineOptions options = {});
 
   /// Scores `users` as retweet candidates for `tweet` (one serving
-  /// request). Entry i equals the per-candidate
+  /// request) into a caller-owned (and ideally reused) vector — `scores`
+  /// is resized to users.size(). Entry i equals the per-candidate
   /// Retina::PredictScore(ctx, X^{u_i}) with features built from the raw
   /// world — the engine never reads the extractor's precomputed per-user
   /// arrays, so the uncached modes reflect a stateless server honestly.
-  Vec ScoreTweet(const datagen::Tweet& tweet,
-                 const std::vector<NodeId>& users);
-
-  /// ScoreTweet writing into a caller-owned (and ideally reused) vector —
-  /// `scores` is resized to users.size(). Candidate feature rows live in
-  /// the thread's scratch arena and the batched forward runs through
-  /// Retina::ScoreBatchRows, so once the arena and caches are warm a
-  /// batched static-head request performs zero heap allocations (pinned
-  /// by the allocation-regression test). Scores are bit-identical to
-  /// ScoreTweet.
+  /// Candidate feature rows live in the thread's scratch arena and the
+  /// batched forward runs through Retina::ScoreBatchRows, so once the
+  /// arena and caches are warm a batched static-head request performs
+  /// zero heap allocations (pinned by the allocation-regression test).
   void ScoreTweetInto(const datagen::Tweet& tweet,
                       const std::vector<NodeId>& users, Vec* scores);
 
   /// Serving-path equivalent of Retina::ScoreCandidates: replays the
   /// candidate list as one request per tweet group, rebuilding every
-  /// feature vector from the raw world. Bit-identical to the model's own
-  /// ScoreCandidates over the task-built features.
-  Vec ScoreCandidates(const RetweetTask& task,
-                      const std::vector<RetweetCandidate>& candidates);
-
-  /// ScoreCandidates into a caller-owned vector; the per-run user list and
-  /// score buffer are engine members reused across runs, so warm replays
-  /// allocate nothing beyond what ScoreTweetInto's contract states.
+  /// feature vector from the raw world, into a caller-owned vector.
+  /// Bit-identical to the model's own ScoreCandidates over the task-built
+  /// features. The per-run user list and score buffer are engine members
+  /// reused across runs, so warm replays allocate nothing beyond what
+  /// ScoreTweetInto's contract states.
   void ScoreCandidatesInto(const RetweetTask& task,
                            const std::vector<RetweetCandidate>& candidates,
                            Vec* scores);
@@ -149,8 +130,6 @@ class ScoringEngine {
   /// Attached store, or nullptr. Exposes the store's own lookup stats.
   const store::FeatureStore* store() const { return store_.get(); }
 
-  const ScoringEngineStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = {}; }
   const ScoringEngineOptions& options() const { return options_; }
   /// Current byte footprint of the per-user LRU (accounted costs).
   size_t user_cache_bytes() const { return user_cache_.bytes(); }
@@ -165,7 +144,8 @@ class ScoringEngine {
 
   TweetEntry BuildTweetEntry(const datagen::Tweet& tweet) const;
   /// Cache-or-compute; the reference is valid until the next engine call.
-  const TweetEntry& GetTweetEntry(const datagen::Tweet& tweet);
+  /// `*hit` reports whether the tweet cache answered.
+  const TweetEntry& GetTweetEntry(const datagen::Tweet& tweet, bool* hit);
 
   /// Which tier resolved a user's history block.
   enum class BlockSource : uint8_t { kWarm, kStore, kCompute };
@@ -182,7 +162,6 @@ class ScoringEngine {
   /// Cold tier behind the LRU; nullptr until AttachStore.
   std::unique_ptr<store::FeatureStore> store_;
   ScoringEngineOptions options_;
-  ScoringEngineStats stats_;
 
   LruCache<NodeId, SparseVec> user_cache_;
   LruCache<size_t, TweetEntry> tweet_cache_;  // keyed by tweet id
@@ -190,9 +169,9 @@ class ScoringEngine {
   std::vector<NodeId> users_scratch_;  // per-run user list (replay path)
   Vec run_scores_;                     // per-run output buffer (replay path)
 
-  /// Registry instruments, resolved once at construction. Purely
-  /// observational mirrors of stats_ plus request-latency histograms with
-  /// warm (every user-block served from cache) vs cold attribution.
+  /// Registry instruments, resolved once at construction: the engine's
+  /// counts plus request-latency histograms with warm (every user-block
+  /// and the tweet context served from cache) vs cold attribution.
   struct ObsHooks {
     static ObsHooks Resolve();
 

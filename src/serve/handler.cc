@@ -158,14 +158,11 @@ void RequestHandler::HandleScoreBatch(
 }
 
 void RequestHandler::AppendStats(std::map<std::string, uint64_t>* stats) const {
-  // Only immutable shape data here: the per-engine cache counters are
-  // plain (non-atomic) fields owned by their worker threads, so reading
-  // them concurrently with HandleScore would race. The server's own
-  // atomics carry the live traffic counters.
+  // Only immutable shape data here; live traffic and cache counts are
+  // registry counters, and the worker count is the serve.workers gauge.
   const datagen::SyntheticWorld& w = world();
   (*stats)["handler.num_tweets"] = w.tweets().size();
   (*stats)["handler.num_users"] = w.NumUsers();
-  (*stats)["handler.num_workers"] = engines_.size();
 }
 
 }  // namespace retina::serve

@@ -63,9 +63,12 @@ class Handler {
     }
   }
 
-  /// Merges handler-side stats (dataset shape, cache traffic) into a
-  /// kStats reply. Called concurrently with HandleScore; implementations
-  /// may only expose data that is safe to read concurrently.
+  /// Merges handler facts (the dataset shape, so a client can build valid
+  /// requests without loading the world) into `*stats`; the server
+  /// publishes each entry as a gauge in its kMetrics reply. This is the
+  /// handler's only hook into that reply. Called concurrently with
+  /// HandleScore; implementations may only expose data that is safe to
+  /// read concurrently.
   virtual void AppendStats(std::map<std::string, uint64_t>* stats) const = 0;
 };
 

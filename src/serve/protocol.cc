@@ -86,9 +86,9 @@ Status Corrupt(const std::string& what) {
   return Status::IOError("corrupt serve frame: " + what);
 }
 
-/// Validates the fixed header and that the type matches `want`; reports
-/// the frame's (accepted) version so body decoders can branch on it.
-Status ConsumeHeader(Cursor* cur, MessageType want, uint16_t* version_out) {
+/// The one header check: magic, version, reserved byte, and a known
+/// message type.
+Result<MessageType> ReadHeader(Cursor* cur) {
   uint32_t magic = 0;
   uint16_t version = 0;
   uint8_t type = 0, reserved = 0;
@@ -97,19 +97,29 @@ Status ConsumeHeader(Cursor* cur, MessageType want, uint16_t* version_out) {
     return Corrupt("truncated header");
   }
   if (magic != kProtocolMagic) return Corrupt("bad magic");
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return Corrupt("unsupported version " + std::to_string(version));
   }
   if (reserved != 0) return Corrupt("nonzero reserved byte");
-  if (type != static_cast<uint8_t>(want)) {
-    return Corrupt("unexpected message type " + std::to_string(type));
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kScoreRequest:
+    case MessageType::kScoreResponse:
+    case MessageType::kMetricsRequest:
+    case MessageType::kMetricsResponse:
+      return static_cast<MessageType>(type);
   }
-  if (version_out != nullptr) *version_out = version;
-  return Status::OK();
+  return Corrupt("unknown message type " + std::to_string(type));
 }
 
+/// Validates the fixed header and that the type matches `want`.
 Status ConsumeHeader(Cursor* cur, MessageType want) {
-  return ConsumeHeader(cur, want, nullptr);
+  const Result<MessageType> type = ReadHeader(cur);
+  RETINA_RETURN_NOT_OK(type.status());
+  if (type.ValueOrDie() != want) {
+    return Corrupt("unexpected message type " +
+                   std::to_string(static_cast<int>(type.ValueOrDie())));
+  }
+  return Status::OK();
 }
 
 Status ExpectEnd(const Cursor& cur) {
@@ -123,23 +133,7 @@ Status ExpectEnd(const Cursor& cur) {
 
 Result<MessageType> PeekMessageType(std::string_view payload) {
   Cursor cur(payload);
-  uint32_t magic = 0;
-  uint16_t version = 0;
-  uint8_t type = 0, reserved = 0;
-  if (!cur.ReadU32(&magic) || !cur.ReadU16(&version) || !cur.ReadU8(&type) ||
-      !cur.ReadU8(&reserved)) {
-    return Corrupt("truncated header");
-  }
-  if (magic != kProtocolMagic) return Corrupt("bad magic");
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return Corrupt("unsupported version " + std::to_string(version));
-  }
-  if (reserved != 0) return Corrupt("nonzero reserved byte");
-  if (type < static_cast<uint8_t>(MessageType::kScoreRequest) ||
-      type > static_cast<uint8_t>(MessageType::kMetricsResponse)) {
-    return Corrupt("unknown message type " + std::to_string(type));
-  }
-  return static_cast<MessageType>(type);
+  return ReadHeader(&cur);
 }
 
 std::string EncodeScoreRequest(const ScoreRequest& req) {
@@ -170,49 +164,23 @@ std::string EncodeScoreResponse(const ScoreResponse& resp) {
   return out;
 }
 
-std::string EncodeStatsRequest(const StatsRequest& req) {
-  std::string out;
-  AppendHeader(&out, MessageType::kStatsRequest);
-  AppendU64(&out, req.request_id);
-  return out;
-}
-
-std::string EncodeStatsResponse(const StatsResponse& resp) {
-  std::string out;
-  AppendHeader(&out, MessageType::kStatsResponse);
-  AppendU64(&out, resp.request_id);
-  AppendU32(&out, static_cast<uint32_t>(resp.stats.size()));
-  for (const auto& [key, value] : resp.stats) {  // std::map: sorted keys
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
-    out.append(key);
-    AppendU64(&out, value);
-  }
-  return out;
-}
-
 Status DecodeScoreRequest(std::string_view payload, ScoreRequest* out) {
   Cursor cur(payload);
-  uint16_t version = 0;
-  RETINA_RETURN_NOT_OK(
-      ConsumeHeader(&cur, MessageType::kScoreRequest, &version));
+  RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kScoreRequest));
   uint32_t n = 0;
   if (!cur.ReadU64(&out->request_id) || !cur.ReadU64(&out->tweet_id) ||
       !cur.ReadU32(&n)) {
     return Corrupt("truncated score request");
   }
-  // v1 ends at the user list; v2 appends the 16-byte trace tail.
-  const size_t trace_tail = version >= 2 ? 16 : 0;
-  if (cur.remaining() != 4u * n + trace_tail) {
+  // The user list is followed by the 16-byte trace tail.
+  if (cur.remaining() != 4u * n + 16) {
     return Corrupt("score request user count disagrees with body size");
   }
   out->users.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (!cur.ReadU32(&out->users[i])) return Corrupt("truncated user list");
   }
-  out->trace_id = 0;
-  out->span_id = 0;
-  if (version >= 2 &&
-      (!cur.ReadU64(&out->trace_id) || !cur.ReadU64(&out->span_id))) {
+  if (!cur.ReadU64(&out->trace_id) || !cur.ReadU64(&out->span_id)) {
     return Corrupt("truncated score request trace context");
   }
   return ExpectEnd(cur);
@@ -246,36 +214,6 @@ Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out) {
   } else {
     if (!cur.ReadBytes(n, &out->message)) {
       return Corrupt("truncated response message");
-    }
-  }
-  return ExpectEnd(cur);
-}
-
-Status DecodeStatsRequest(std::string_view payload, StatsRequest* out) {
-  Cursor cur(payload);
-  RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kStatsRequest));
-  if (!cur.ReadU64(&out->request_id)) return Corrupt("truncated stats request");
-  return ExpectEnd(cur);
-}
-
-Status DecodeStatsResponse(std::string_view payload, StatsResponse* out) {
-  Cursor cur(payload);
-  RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kStatsResponse));
-  uint32_t n = 0;
-  if (!cur.ReadU64(&out->request_id) || !cur.ReadU32(&n)) {
-    return Corrupt("truncated stats response");
-  }
-  out->stats.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key_len = 0;
-    if (!cur.ReadU32(&key_len)) return Corrupt("truncated stats entry");
-    std::string key;
-    uint64_t value = 0;
-    if (!cur.ReadBytes(key_len, &key) || !cur.ReadU64(&value)) {
-      return Corrupt("truncated stats entry");
-    }
-    if (!out->stats.emplace(std::move(key), value).second) {
-      return Corrupt("duplicate stats key");
     }
   }
   return ExpectEnd(cur);

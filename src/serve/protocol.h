@@ -1,5 +1,5 @@
-// retina::serve wire protocol — versioned, length-prefixed binary frames
-// over a stream socket.
+// retina::serve wire protocol — length-prefixed binary frames over a
+// stream socket, one protocol version.
 //
 // Framing: every message travels as
 //
@@ -9,21 +9,17 @@
 // and every payload begins with a fixed header
 //
 //   u32  magic         kProtocolMagic ("RETP" on the wire)
-//   u16  version       kProtocolVersion
+//   u16  version       kProtocolVersion (the only version decoders accept)
 //   u8   type          MessageType
 //   u8   reserved      must be zero
 //
 // followed by the body of the given type (all integers little-endian):
 //
 //   kScoreRequest:   u64 request_id | u64 tweet_id | u32 n | n x u32 user |
-//                      u64 trace_id | u64 span_id     (v2; v1 ends at the
-//                      user list — decoders accept both, zero = no trace)
+//                      u64 trace_id | u64 span_id     (zero = no trace)
 //   kScoreResponse:  u64 request_id | u8 code |
 //                      code==kOk:  u32 n | n x u64 score-bit-pattern
 //                      otherwise:  u32 msg_len | msg bytes
-//   kStatsRequest:   u64 request_id
-//   kStatsResponse:  u64 request_id | u32 n | n x (u32 key_len | key |
-//                      u64 value), keys unique and sorted
 //   kMetricsRequest: u64 request_id
 //   kMetricsResponse:u64 request_id |
 //                      u32 n | n x (u32 key_len | key | u64 value)
@@ -39,10 +35,9 @@
 //                        windowed histograms
 //                      keys unique and sorted within each section
 //
-// Version history: v1 framed kScoreRequest..kStatsResponse; v2 added the
-// optional trace tail on kScoreRequest and the kMetrics pair. Decoders
-// accept every version in [kMinProtocolVersion, kProtocolVersion];
-// encoders always emit kProtocolVersion.
+// Every client lives in this repository, so there is one version: v2, the
+// first with the trace tail and the kMetrics pair. Type numbers 3 and 4
+// (v1's retired stats pair) stay unassigned and decode as unknown.
 //
 // Scores cross the wire as IEEE-754 f64 bit patterns in a u64, so a
 // client reassembles exactly the doubles the engine produced — the serve
@@ -58,7 +53,6 @@
 #define RETINA_SERVE_PROTOCOL_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,9 +65,6 @@ namespace retina::serve {
 
 inline constexpr uint32_t kProtocolMagic = 0x50544552;  // "RETP" in LE bytes
 inline constexpr uint16_t kProtocolVersion = 2;
-/// Oldest version decoders still accept (v1 = no score-request trace tail,
-/// no metrics messages).
-inline constexpr uint16_t kMinProtocolVersion = 1;
 /// Upper bound on a frame payload; a length prefix above this is treated
 /// as stream corruption rather than an allocation request.
 inline constexpr uint32_t kMaxFramePayloadBytes = 16u << 20;
@@ -83,8 +74,6 @@ inline constexpr size_t kPayloadHeaderBytes = 8;
 enum class MessageType : uint8_t {
   kScoreRequest = 1,
   kScoreResponse = 2,
-  kStatsRequest = 3,
-  kStatsResponse = 4,
   kMetricsRequest = 5,
   kMetricsResponse = 6,
 };
@@ -98,7 +87,7 @@ enum class ResponseCode : uint8_t {
 /// Score `users` as retweet candidates of `tweet_id`. `request_id` is an
 /// opaque client token echoed in the response. `trace_id`/`span_id` carry
 /// the client's trace context so daemon spans parent under the client's
-/// trace; zero means absent (v1 clients, or tracing off).
+/// trace; zero means absent (tracing off).
 struct ScoreRequest {
   uint64_t request_id = 0;
   uint64_t tweet_id = 0;
@@ -114,46 +103,30 @@ struct ScoreResponse {
   std::string message;  ///< meaningful iff code != kOk
 };
 
-struct StatsRequest {
-  uint64_t request_id = 0;
-};
-
-/// Server-side introspection: dataset shape (num_tweets, num_users) so a
-/// client can build valid requests without loading the world, plus live
-/// admission/drain counters for the load driver's shed and queue-depth
-/// columns.
-struct StatsResponse {
-  uint64_t request_id = 0;
-  std::map<std::string, uint64_t> stats;
-};
-
 struct MetricsRequest {
   uint64_t request_id = 0;
 };
 
-/// Typed registry snapshot for live monitoring: obs counters/gauges (with
-/// the server's own admission stats merged in, so the view stays useful
-/// when obs is disabled), cumulative histogram quantiles, and windowed
-/// quantiles over the daemon's recent ticks.
+/// Typed registry snapshot for live monitoring: the daemon's counters and
+/// gauges (live in every build), the handler's facts such as the dataset
+/// shape in the gauges section, cumulative histogram quantiles, and
+/// windowed quantiles over the daemon's recent ticks.
 struct MetricsResponse {
   uint64_t request_id = 0;
   obs::RegistrySnapshot snapshot;
 };
 
-/// Validates the payload header and returns the message type.
+/// Validates the payload header and returns the message type; an unknown
+/// type is a Status error.
 Result<MessageType> PeekMessageType(std::string_view payload);
 
 std::string EncodeScoreRequest(const ScoreRequest& req);
 std::string EncodeScoreResponse(const ScoreResponse& resp);
-std::string EncodeStatsRequest(const StatsRequest& req);
-std::string EncodeStatsResponse(const StatsResponse& resp);
 std::string EncodeMetricsRequest(const MetricsRequest& req);
 std::string EncodeMetricsResponse(const MetricsResponse& resp);
 
 Status DecodeScoreRequest(std::string_view payload, ScoreRequest* out);
 Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out);
-Status DecodeStatsRequest(std::string_view payload, StatsRequest* out);
-Status DecodeStatsResponse(std::string_view payload, StatsResponse* out);
 Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out);
 Status DecodeMetricsResponse(std::string_view payload, MetricsResponse* out);
 

@@ -64,6 +64,7 @@ Server::ObsHooks Server::ObsHooks::Resolve() {
   h.shed = reg.GetCounter("serve.shed");
   h.errors = reg.GetCounter("serve.errors");
   h.protocol_errors = reg.GetCounter("serve.protocol_errors");
+  h.write_errors = reg.GetCounter("serve.write_errors");
   h.coalesce_batches = reg.GetCounter("serve.coalesce.batches");
   h.coalesce_batched_requests =
       reg.GetCounter("serve.coalesce.batched_requests");
@@ -71,6 +72,7 @@ Server::ObsHooks Server::ObsHooks::Resolve() {
   h.queue_capacity = reg.GetGauge("serve.queue.capacity");
   h.workers = reg.GetGauge("serve.workers");
   h.coalesce_max_batch = reg.GetGauge("serve.coalesce.max_batch");
+  h.draining = reg.GetGauge("serve.draining");
   h.queue_wait_ns = reg.GetWindowedHistogram("serve.queue_wait_ns");
   h.handle_ns = reg.GetWindowedHistogram("serve.handle_ns");
   return h;
@@ -239,6 +241,8 @@ Status Server::Start() {
   hooks_.workers->Set(static_cast<int64_t>(handler_->num_workers()));
   hooks_.coalesce_max_batch->Set(
       static_cast<int64_t>(std::max<size_t>(1, options_.coalesce_max_batch)));
+  hooks_.queue_depth_peak->Set(0);
+  hooks_.draining->Set(0);
 
   pool_ = std::make_unique<par::ThreadPool>(
       handler_->num_workers() == 0 ? 1 : handler_->num_workers());
@@ -260,6 +264,7 @@ Status Server::Start() {
 
 void Server::RequestShutdown() {
   draining_.store(true, std::memory_order_release);
+  hooks_.draining->Set(1);
 }
 
 Status Server::Wait() {
@@ -283,8 +288,8 @@ Status Server::Wait() {
                           << st.ToString();
     }
   }
-  RETINA_LOG(Info) << "serve: drained (" << responses_.load() << " responses, "
-                   << shed_.load() << " shed)";
+  RETINA_LOG(Info) << "serve: drained (" << hooks_.responses->Get()
+                   << " responses, " << hooks_.shed->Get() << " shed)";
   return Status::OK();
 }
 
@@ -322,7 +327,6 @@ void Server::AcceptLoop() {
         const int one = 1;
         ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       }
-      connections_.fetch_add(1, std::memory_order_relaxed);
       hooks_.connections->Add();
       auto conn = std::make_shared<Conn>(cfd);
       std::lock_guard<std::mutex> lock(readers_mu_);
@@ -354,7 +358,6 @@ void Server::ReaderLoop(std::shared_ptr<Conn> conn) {
     if (!st.ok()) {
       // The byte stream is out of sync; nothing after this point can be
       // framed reliably, so the only safe move is to drop the connection.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       hooks_.protocol_errors->Add();
       RETINA_LOG(Warning) << "serve: " << st.ToString();
       break;
@@ -371,7 +374,6 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
                          const std::string& payload) {
   const Result<MessageType> type = PeekMessageType(payload);
   if (!type.ok()) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     hooks_.protocol_errors->Add();
     RETINA_LOG(Warning) << "serve: " << type.status().ToString();
     return false;
@@ -381,7 +383,6 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
       ScoreRequest req;
       const Status st = DecodeScoreRequest(payload, &req);
       if (!st.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         hooks_.protocol_errors->Add();
         RETINA_LOG(Warning) << "serve: " << st.ToString();
         return false;
@@ -403,7 +404,6 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
       }
       item.enqueue_ns = NowNs();
       if (!queue_.TryPush(std::move(item))) {
-        shed_.fetch_add(1, std::memory_order_relaxed);
         hooks_.shed->Add();
         ScoreResponse resp;
         resp.request_id = request_id;
@@ -412,64 +412,34 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
         WriteResponse(conn.get(), resp);
         return true;
       }
-      requests_.fetch_add(1, std::memory_order_relaxed);
       hooks_.requests->Add();
-      const uint64_t depth = queue_.size();
-      uint64_t peak = queue_depth_peak_.load(std::memory_order_relaxed);
-      while (depth > peak && !queue_depth_peak_.compare_exchange_weak(
-                                 peak, depth, std::memory_order_relaxed)) {
-      }
-      hooks_.queue_depth_peak->UpdateMax(static_cast<int64_t>(depth));
-      return true;
-    }
-    case MessageType::kStatsRequest: {
-      StatsRequest req;
-      const Status st = DecodeStatsRequest(payload, &req);
-      if (!st.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        hooks_.protocol_errors->Add();
-        return false;
-      }
-      StatsResponse resp;
-      resp.request_id = req.request_id;
-      SnapshotStats(&resp.stats);
-      handler_->AppendStats(&resp.stats);
-      const std::string encoded = EncodeStatsResponse(resp);
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      const Status wst = WriteFrame(conn->fd, encoded);
-      if (!wst.ok()) write_errors_.fetch_add(1, std::memory_order_relaxed);
+      hooks_.queue_depth_peak->UpdateMax(static_cast<int64_t>(queue_.size()));
       return true;
     }
     case MessageType::kMetricsRequest: {
       MetricsRequest req;
       const Status st = DecodeMetricsRequest(payload, &req);
       if (!st.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         hooks_.protocol_errors->Add();
         return false;
       }
       MetricsResponse resp;
       resp.request_id = req.request_id;
       resp.snapshot = obs::Registry::Global().TakeSnapshot();
-      // Overlay the authoritative server-owned stats (and the handler's)
-      // onto the counter map: identical values when obs is on, and the
-      // only live values when it is disabled or compiled out.
-      std::map<std::string, uint64_t> stats;
-      SnapshotStats(&stats);
-      handler_->AppendStats(&stats);
-      for (const auto& [key, value] : stats) {
-        resp.snapshot.counters[key] = value;
+      // The handler's facts (dataset shape, ...) ride in the gauges.
+      std::map<std::string, uint64_t> facts;
+      handler_->AppendStats(&facts);
+      for (const auto& [key, value] : facts) {
+        resp.snapshot.gauges[key] = static_cast<int64_t>(value);
       }
       const std::string encoded = EncodeMetricsResponse(resp);
       std::lock_guard<std::mutex> lock(conn->write_mu);
-      const Status wst = WriteFrame(conn->fd, encoded);
-      if (!wst.ok()) write_errors_.fetch_add(1, std::memory_order_relaxed);
+      if (!WriteFrame(conn->fd, encoded).ok()) hooks_.write_errors->Add();
       return true;
     }
     default:
       // A client pushing response-typed frames at the server is as
       // out-of-contract as garbage bytes.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       hooks_.protocol_errors->Add();
       return false;
   }
@@ -545,21 +515,14 @@ void Server::DispatchGroup(size_t worker, std::vector<WorkItem>* items,
   obs::SetCurrentTraceContext(saved);
   for (size_t i = 0; i < indices.size(); ++i) {
     ScoreResponse& resp = resps[i];
-    if (resp.code == ResponseCode::kError) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      hooks_.errors->Add();
-    }
+    if (resp.code == ResponseCode::kError) hooks_.errors->Add();
     WorkItem& item = (*items)[indices[i]];
     WriteResponse(item.conn.get(), resp);
-    responses_.fetch_add(1, std::memory_order_relaxed);
     hooks_.responses->Add();
     item = WorkItem();  // release the Conn reference; marks the slot done
   }
   hooks_.handle_ns->Record(NowNs() - start_ns);
   if (indices.size() >= 2) {
-    coalesce_batches_.fetch_add(1, std::memory_order_relaxed);
-    coalesce_batched_requests_.fetch_add(indices.size(),
-                                         std::memory_order_relaxed);
     hooks_.coalesce_batches->Add();
     hooks_.coalesce_batched_requests->Add(indices.size());
   }
@@ -601,31 +564,8 @@ void Server::WriteResponse(Conn* conn, const ScoreResponse& resp) {
   if (!st.ok()) {
     // The client went away before its answer; all we owe the rest of the
     // system is the count.
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
+    hooks_.write_errors->Add();
   }
-}
-
-void Server::SnapshotStats(std::map<std::string, uint64_t>* stats) const {
-  (*stats)["serve.connections"] = connections_.load(std::memory_order_relaxed);
-  (*stats)["serve.requests"] = requests_.load(std::memory_order_relaxed);
-  (*stats)["serve.responses"] = responses_.load(std::memory_order_relaxed);
-  (*stats)["serve.shed"] = shed_.load(std::memory_order_relaxed);
-  (*stats)["serve.errors"] = errors_.load(std::memory_order_relaxed);
-  (*stats)["serve.protocol_errors"] =
-      protocol_errors_.load(std::memory_order_relaxed);
-  (*stats)["serve.write_errors"] =
-      write_errors_.load(std::memory_order_relaxed);
-  (*stats)["serve.queue_depth_peak"] =
-      queue_depth_peak_.load(std::memory_order_relaxed);
-  (*stats)["serve.queue_capacity"] = queue_.capacity();
-  (*stats)["serve.workers"] = handler_->num_workers();
-  (*stats)["serve.coalesce.batches"] =
-      coalesce_batches_.load(std::memory_order_relaxed);
-  (*stats)["serve.coalesce.batched_requests"] =
-      coalesce_batched_requests_.load(std::memory_order_relaxed);
-  (*stats)["serve.coalesce.max_batch"] =
-      std::max<size_t>(1, options_.coalesce_max_batch);
-  (*stats)["serve.draining"] = draining() ? 1 : 0;
 }
 
 }  // namespace retina::serve

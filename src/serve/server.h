@@ -10,7 +10,7 @@
 //   reader threads     decode frames. kScoreRequest -> TryPush onto the
 //                      admission queue, answering kShed immediately when
 //                      it is full (shed-on-full keeps overload latency
-//                      bounded); kStatsRequest answered inline.
+//                      bounded); kMetricsRequest answered inline.
 //   dispatcher thread  runs pool->Run(N, worker-loop) on a dedicated
 //                      N-thread retina::par pool. Each worker loop pops
 //                      until the queue closes. Because the loops execute
@@ -55,16 +55,16 @@
 //   --trace-out. Admitted requests are never dropped: an item either
 //   gets a response or was shed at admission with an immediate reply.
 //
-// Stats served over kStats come from server-owned atomics (not
-// retina::obs), so the protocol behaves identically when obs is
-// disabled or compiled out — observers never change behavior.
+// One record per count: every serve.* fact is an obs counter or gauge,
+// recorded once through ObsHooks. Counters and gauges count in every
+// build (obs.h's kill-switch contract), so the metrics reply needs no
+// server-side copy to stay truthful with obs disabled or compiled out.
 //
 // Live telemetry (kMetrics + the metrics cadence): kMetricsRequest is
-// answered inline on the reader thread, like kStats, with a typed
-// obs::RegistrySnapshot — the server-owned stats (and the handler's) are
-// overlaid onto the counter map so the reply stays authoritative with obs
-// off. The dispatcher drives a logical metrics clock: every
-// metrics_tick_requests handled requests it rotates the windowed
+// answered inline on the reader thread with a typed obs::RegistrySnapshot;
+// the handler's facts (Handler::AppendStats, e.g. the dataset shape) ride
+// in its gauges section. The dispatcher drives a logical metrics clock:
+// every metrics_tick_requests handled requests it rotates the windowed
 // histograms (so SnapshotWindow answers "p99 over the recent past"),
 // re-samples the process gauges, and — when prom_out is set — atomically
 // refreshes the Prometheus exposition file. The cadence counts requests,
@@ -75,7 +75,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -153,16 +152,13 @@ class Server {
   /// Idempotent, thread-safe drain trigger — the programmatic SIGTERM.
   void RequestShutdown();
 
-  /// True once a shutdown/drain has been requested.
+  /// True once a shutdown/drain has been requested (also published as the
+  /// serve.draining gauge).
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   /// Port the TCP listener actually bound (useful with listen_address
   /// ":0"); 0 when no TCP listener was configured or before Start().
   uint16_t tcp_port() const { return tcp_port_; }
-
-  /// Server-owned traffic counters (see header comment), merged with the
-  /// handler's stats. Safe to call any time, including during traffic.
-  void SnapshotStats(std::map<std::string, uint64_t>* stats) const;
 
  private:
   struct Conn {
@@ -217,40 +213,31 @@ class Server {
   std::mutex readers_mu_;  ///< guards reader_threads_ growth vs. join
   std::vector<std::thread> reader_threads_;
 
-  // Authoritative traffic counters: plain atomics, deliberately not obs
-  // instruments, so kStats replies are identical with obs disabled.
-  std::atomic<uint64_t> connections_{0};
-  std::atomic<uint64_t> requests_{0};   ///< admitted score requests
-  std::atomic<uint64_t> responses_{0};  ///< score responses written
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> errors_{0};  ///< kError responses (bad requests)
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> write_errors_{0};
-  std::atomic<uint64_t> queue_depth_peak_{0};
-  /// Coalescing outcome counters: a "batch" is a fused handler call
-  /// covering >= 2 requests; batched_requests is the requests those calls
-  /// covered. avg batch size = batched_requests / batches.
-  std::atomic<uint64_t> coalesce_batches_{0};
-  std::atomic<uint64_t> coalesce_batched_requests_{0};
   /// Logical metrics clock: handled-request count feeding the cadence.
   std::atomic<uint64_t> metrics_tick_counter_{0};
   std::mutex prom_mu_;  ///< single prom writer; boundary crossers skip
 
-  /// Observational mirrors, resolved once at construction.
+  /// The server's counts, resolved once at construction. The registry is
+  /// process-wide, so servers in one process share these.
   struct ObsHooks {
     static ObsHooks Resolve();
     obs::Counter* connections;
-    obs::Counter* requests;
-    obs::Counter* responses;
+    obs::Counter* requests;   ///< admitted score requests
+    obs::Counter* responses;  ///< score responses written
     obs::Counter* shed;
-    obs::Counter* errors;
+    obs::Counter* errors;  ///< kError responses (bad requests)
     obs::Counter* protocol_errors;
+    obs::Counter* write_errors;  ///< replies lost to a vanished client
+    /// Coalescing outcome: a "batch" is a fused handler call covering >= 2
+    /// requests; batched_requests is the requests those calls covered.
+    /// avg batch size = batched_requests / batches.
     obs::Counter* coalesce_batches;
     obs::Counter* coalesce_batched_requests;
-    obs::Gauge* queue_depth_peak;
+    obs::Gauge* queue_depth_peak;  ///< since this Start (reset there)
     obs::Gauge* queue_capacity;
     obs::Gauge* workers;
     obs::Gauge* coalesce_max_batch;
+    obs::Gauge* draining;  ///< 0 from Start, 1 from RequestShutdown
     // Windowed: one Record feeds both the cumulative histogram (same
     // registry name, shared storage) and the current window slot.
     obs::WindowedHistogram* queue_wait_ns;

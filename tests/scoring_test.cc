@@ -16,6 +16,7 @@
 #include <filesystem>
 
 #include "common/lru_cache.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/sparse_vec.h"
@@ -505,6 +506,30 @@ TEST(BatchedRetinaTest, DynamicBatchBitIdenticalToSerial) {
   }
 }
 
+/// The engine's replay of the task's test split.
+Vec ServeTestSplit(ScoringEngine* engine, const RetweetTask& task) {
+  Vec scores;
+  engine->ScoreCandidatesInto(task, task.test, &scores);
+  return scores;
+}
+
+/// The engine's counts live in the process-wide registry, which counts in
+/// every build: exact pins read the growth of counter `name` since `before`.
+uint64_t CounterSince(const obs::RegistrySnapshot& before,
+                      const std::string& name) {
+  const obs::RegistrySnapshot delta = obs::Registry::SnapshotDelta(
+      before, obs::Registry::Global().TakeSnapshot());
+  const auto it = delta.counters.find(name);
+  return it == delta.counters.end() ? 0 : it->second;
+}
+
+/// The per-user LRU eviction total the last-scoring engine published.
+int64_t UserEvictions() {
+  return obs::Registry::Global()
+      .GetGauge("serving.user_cache.evictions")
+      ->Get();
+}
+
 TEST(ScoringEngineTest, AllModesBitIdenticalToModelScores) {
   auto& f = SharedFixture();
   const auto model = TrainModel(f.task, /*dynamic=*/false);
@@ -516,7 +541,7 @@ TEST(ScoringEngineTest, AllModesBitIdenticalToModelScores) {
       opts.batched = batched;
       opts.cache_features = cached;
       ScoringEngine engine(model.get(), f.extractor.get(), opts);
-      const Vec served = engine.ScoreCandidates(f.task, f.task.test);
+      const Vec served = ServeTestSplit(&engine, f.task);
       ASSERT_EQ(served.size(), reference.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         EXPECT_EQ(served[i], reference[i])
@@ -531,7 +556,7 @@ TEST(ScoringEngineTest, DynamicModeBitIdenticalToModelScores) {
   const auto model = TrainModel(f.task, /*dynamic=*/true);
   const Vec reference = model->ScoreCandidates(f.task, f.task.test);
   ScoringEngine engine(model.get(), f.extractor.get());
-  const Vec served = engine.ScoreCandidates(f.task, f.task.test);
+  const Vec served = ServeTestSplit(&engine, f.task);
   ASSERT_EQ(served.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
@@ -542,20 +567,22 @@ TEST(ScoringEngineTest, CacheStatsTrackHitsAndRepeatRequestsHit) {
   auto& f = SharedFixture();
   const auto model = TrainModel(f.task, /*dynamic=*/false);
   ScoringEngine engine(model.get(), f.extractor.get());
-  const Vec first = engine.ScoreCandidates(f.task, f.task.test);
-  const auto after_first = engine.stats();
-  EXPECT_GT(after_first.requests, 0u);
-  EXPECT_EQ(after_first.candidates, f.task.test.size());
-  EXPECT_GT(after_first.user_misses, 0u);
-  EXPECT_EQ(after_first.tweet_hits, 0u);
+  obs::Registry& reg = obs::Registry::Global();
+  const obs::RegistrySnapshot before_first = reg.TakeSnapshot();
+  const Vec first = ServeTestSplit(&engine, f.task);
+  EXPECT_GT(CounterSince(before_first, "serving.requests"), 0u);
+  EXPECT_EQ(CounterSince(before_first, "serving.candidates"),
+            f.task.test.size());
+  EXPECT_GT(CounterSince(before_first, "serving.user_cache.misses"), 0u);
+  EXPECT_EQ(CounterSince(before_first, "serving.tweet_cache.hits"), 0u);
 
   // Replaying the same workload hits both caches for every lookup.
-  const Vec second = engine.ScoreCandidates(f.task, f.task.test);
-  const auto after_second = engine.stats();
-  EXPECT_EQ(after_second.user_misses, after_first.user_misses);
-  EXPECT_EQ(after_second.tweet_misses, after_first.tweet_misses);
-  EXPECT_GT(after_second.tweet_hits, 0u);
-  EXPECT_GT(after_second.user_hits, after_first.user_hits);
+  const obs::RegistrySnapshot before_second = reg.TakeSnapshot();
+  const Vec second = ServeTestSplit(&engine, f.task);
+  EXPECT_EQ(CounterSince(before_second, "serving.user_cache.misses"), 0u);
+  EXPECT_EQ(CounterSince(before_second, "serving.tweet_cache.misses"), 0u);
+  EXPECT_GT(CounterSince(before_second, "serving.tweet_cache.hits"), 0u);
+  EXPECT_GT(CounterSince(before_second, "serving.user_cache.hits"), 0u);
   for (size_t i = 0; i < first.size(); ++i) EXPECT_EQ(second[i], first[i]);
 }
 
@@ -614,8 +641,7 @@ TEST(ScoringEngineTest, FromCheckpointBitIdenticalAcrossAllModes) {
       auto engine =
           ScoringEngine::FromCheckpoint(f.world, reloaded.ValueOrDie(), opts);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      const Vec served =
-          engine.ValueOrDie()->ScoreCandidates(f.task, f.task.test);
+      const Vec served = ServeTestSplit(engine.ValueOrDie().get(), f.task);
       ASSERT_EQ(served.size(), reference.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         EXPECT_EQ(served[i], reference[i])
@@ -647,7 +673,7 @@ TEST(ScoringEngineTest, BundleFromDiskBitIdenticalToInProcessModel) {
 
   const Vec reference = model->ScoreCandidates(f.task, f.task.test);
   ScoringEngine engine(loaded.model.get(), loaded.extractor.get());
-  const Vec served = engine.ScoreCandidates(f.task, f.task.test);
+  const Vec served = ServeTestSplit(&engine, f.task);
   ASSERT_EQ(served.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
@@ -662,8 +688,8 @@ TEST(ScoringEngineTest, TinyUserCacheEvictsAndStaysCorrect) {
   opts.user_cache_capacity = 4;  // far below the distinct-user count
   opts.tweet_cache_capacity = 2;
   ScoringEngine engine(model.get(), f.extractor.get(), opts);
-  const Vec served = engine.ScoreCandidates(f.task, f.task.test);
-  EXPECT_GT(engine.stats().user_evictions, 0u);
+  const Vec served = ServeTestSplit(&engine, f.task);
+  EXPECT_GT(UserEvictions(), 0);
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
   }
@@ -695,15 +721,17 @@ TEST(ScoringEngineStoreTest, StoreTierBitIdenticalToComputePath) {
   ScoringEngine tiered(model.get(), f.extractor.get());
   ASSERT_TRUE(tiered.AttachStore(dir).ok());
   ASSERT_NE(tiered.store(), nullptr);
-  const Vec reference = plain.ScoreCandidates(f.task, f.task.test);
-  const Vec served = tiered.ScoreCandidates(f.task, f.task.test);
+  const Vec reference = ServeTestSplit(&plain, f.task);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
+  const Vec served = ServeTestSplit(&tiered, f.task);
   ASSERT_EQ(served.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
   }
-  EXPECT_GT(tiered.stats().store_hits, 0u);
-  EXPECT_EQ(tiered.stats().store_misses, 0u);  // store covers every user
-  EXPECT_EQ(tiered.stats().store_errors, 0u);
+  EXPECT_GT(CounterSince(before, "store.tier.hits"), 0u);
+  // The store covers every user.
+  EXPECT_EQ(CounterSince(before, "store.tier.misses"), 0u);
+  EXPECT_EQ(CounterSince(before, "store.tier.errors"), 0u);
   std::filesystem::remove_all(dir);
 }
 
@@ -720,15 +748,17 @@ TEST(ScoringEngineStoreTest, TinyLruServesFromStoreAndStaysBitIdentical) {
   opts.user_cache_bytes = 256;
   ScoringEngine engine(model.get(), f.extractor.get(), opts);
   ASSERT_TRUE(engine.AttachStore(dir).ok());
-  const Vec served = engine.ScoreCandidates(f.task, f.task.test);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
+  const Vec served = ServeTestSplit(&engine, f.task);
   ASSERT_EQ(served.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
   }
-  EXPECT_EQ(engine.stats().store_hits, engine.stats().user_misses);
-  EXPECT_EQ(engine.stats().store_promotes, engine.stats().store_hits);
-  EXPECT_GT(engine.stats().store_hits, 1u);
-  EXPECT_GT(engine.stats().user_evictions, 0u);
+  const uint64_t store_hits = CounterSince(before, "store.tier.hits");
+  EXPECT_EQ(store_hits, CounterSince(before, "serving.user_cache.misses"));
+  EXPECT_EQ(CounterSince(before, "store.tier.promotes"), store_hits);
+  EXPECT_GT(store_hits, 1u);
+  EXPECT_GT(UserEvictions(), 0);
   std::filesystem::remove_all(dir);
 }
 
@@ -753,12 +783,13 @@ TEST(ScoringEngineStoreTest, CorruptStoreFallsBackToComputeBitIdentically) {
   }
   ScoringEngine engine(model.get(), f.extractor.get());
   ASSERT_TRUE(engine.AttachStore(dir).ok());  // corruption found lazily
-  const Vec served = engine.ScoreCandidates(f.task, f.task.test);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
+  const Vec served = ServeTestSplit(&engine, f.task);
   ASSERT_EQ(served.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
   }
-  EXPECT_GT(engine.stats().store_errors, 0u);
+  EXPECT_GT(CounterSince(before, "store.tier.errors"), 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -21,8 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -38,6 +36,7 @@
 #include "core/scoring_engine.h"
 #include "datagen/world.h"
 #include "hatedetect/annotation.h"
+#include "serve/client.h"
 #include "serve/handler.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -109,23 +108,6 @@ TEST(ProtocolTest, ErrorResponseCarriesMessage) {
   }
 }
 
-TEST(ProtocolTest, StatsRoundTrips) {
-  StatsResponse resp;
-  resp.request_id = 9;
-  resp.stats = {{"serve.requests", 10},
-                {"serve.shed", 0},
-                {"handler.num_users", 1u << 20}};
-  StatsResponse out;
-  ASSERT_TRUE(DecodeStatsResponse(EncodeStatsResponse(resp), &out).ok());
-  EXPECT_EQ(out.stats, resp.stats);
-
-  StatsRequest sreq;
-  sreq.request_id = 11;
-  StatsRequest sout;
-  ASSERT_TRUE(DecodeStatsRequest(EncodeStatsRequest(sreq), &sout).ok());
-  EXPECT_EQ(sout.request_id, 11u);
-}
-
 TEST(ProtocolTest, ScoreRequestCarriesTraceContext) {
   ScoreRequest req;
   req.request_id = 8;
@@ -146,43 +128,6 @@ TEST(ProtocolTest, ScoreRequestCarriesTraceContext) {
   ASSERT_TRUE(DecodeScoreRequest(EncodeScoreRequest(plain), &out).ok());
   EXPECT_EQ(out.trace_id, 0u);
   EXPECT_EQ(out.span_id, 0u);
-}
-
-/// Hand-crafts the version-1 encoding of a score request (no 16-byte
-/// trace tail) from the current encoder's output: strip the tail, patch
-/// the header's u16 version field down to 1.
-std::string EncodeScoreRequestV1(const ScoreRequest& req) {
-  std::string payload = EncodeScoreRequest(req);
-  payload.resize(payload.size() - 16);
-  payload[4] = 1;  // version lo byte
-  payload[5] = 0;  // version hi byte
-  return payload;
-}
-
-TEST(ProtocolTest, V1ScoreRequestFramesStillDecode) {
-  ScoreRequest req;
-  req.request_id = 31;
-  req.tweet_id = 6;
-  req.users = {4, 5};
-  req.trace_id = 0xDEAD;  // encoder writes it; the v1 frame drops it
-  req.span_id = 0xBEEF;
-  const std::string v1 = EncodeScoreRequestV1(req);
-  ScoreRequest out;
-  out.trace_id = 1;
-  out.span_id = 1;
-  ASSERT_TRUE(DecodeScoreRequest(v1, &out).ok());
-  EXPECT_EQ(out.request_id, req.request_id);
-  EXPECT_EQ(out.tweet_id, req.tweet_id);
-  EXPECT_EQ(out.users, req.users);
-  EXPECT_EQ(out.trace_id, 0u) << "v1 frames carry no trace context";
-  EXPECT_EQ(out.span_id, 0u);
-
-  // A frame claiming v1 but carrying the v2 trace tail is corrupt: the
-  // user count no longer agrees with the body size.
-  std::string bad = EncodeScoreRequest(req);
-  bad[4] = 1;
-  bad[5] = 0;
-  EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
 }
 
 TEST(ProtocolTest, MetricsRoundTripsTypedSnapshot) {
@@ -259,22 +204,50 @@ TEST(ProtocolTest, CorruptHeadersAreStatusErrors) {
   bad[0] ^= 0x01;  // magic
   EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
 
-  bad = good;
-  bad[4] = 0x7F;  // version
-  EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
+  // Versions other than kProtocolVersion, including the retired v1 (whose
+  // score requests had no trace tail), are corrupt.
+  for (const uint8_t version : {0x7F, 0x01}) {
+    bad = good;
+    bad[4] = static_cast<char>(version);
+    EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok()) << int{version};
+    EXPECT_FALSE(PeekMessageType(bad).ok()) << int{version};
+  }
 
-  bad = good;
-  bad[6] = 0x66;  // unknown type
-  EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
-  EXPECT_FALSE(PeekMessageType(bad).ok());
+  // Unknown types, including 3 and 4 (the retired stats pair).
+  for (const uint8_t type : {0x66, 0x03, 0x04}) {
+    bad = good;
+    bad[6] = static_cast<char>(type);
+    EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok()) << int{type};
+    EXPECT_FALSE(PeekMessageType(bad).ok()) << int{type};
+  }
 
   bad = good;
   bad[7] = 0x01;  // reserved byte must be zero
   EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
 
   // Right header, wrong body type for the decoder.
-  StatsRequest sreq;
-  EXPECT_FALSE(DecodeStatsRequest(good, &sreq).ok());
+  MetricsRequest mreq;
+  EXPECT_FALSE(DecodeMetricsRequest(good, &mreq).ok());
+}
+
+TEST(ProtocolTest, ParseTargetAcceptsUnixTcpAndBarePaths) {
+  struct Case {
+    const char* uri;
+    const char* parsed;  ///< Describe() of the result; nullptr = rejected
+  };
+  for (const Case& c : {Case{"unix:/tmp/a.sock", "unix:/tmp/a.sock"},
+                        Case{"/tmp/b.sock", "unix:/tmp/b.sock"},
+                        Case{"tcp:localhost:7070", "tcp:localhost:7070"},
+                        Case{"tcp::7070", "tcp:127.0.0.1:7070"},
+                        Case{"", nullptr}, Case{"unix:", nullptr},
+                        Case{"tcp:7070", nullptr}, Case{"tcp:host:", nullptr}}) {
+    Target target;
+    const bool ok = ParseTarget(c.uri, &target);
+    ASSERT_EQ(ok, c.parsed != nullptr) << c.uri;
+    if (ok) {
+      EXPECT_EQ(target.Describe(), c.parsed) << c.uri;
+    }
+  }
 }
 
 TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
@@ -291,9 +264,6 @@ TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
   err_resp.request_id = 1;
   err_resp.code = ResponseCode::kError;
   err_resp.message = "why";
-  StatsResponse stats;
-  stats.request_id = 1;
-  stats.stats = {{"k", 7}};
   MetricsResponse metrics;
   metrics.request_id = 1;
   metrics.snapshot.counters = {{"c", 3}};
@@ -309,22 +279,17 @@ TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
   metrics.snapshot.windows = {{"w", mw}};
   const std::string payloads[] = {
       EncodeScoreRequest(req), EncodeScoreResponse(ok_resp),
-      EncodeScoreResponse(err_resp), EncodeStatsRequest(StatsRequest{1}),
-      EncodeStatsResponse(stats), EncodeMetricsRequest(MetricsRequest{1}),
+      EncodeScoreResponse(err_resp), EncodeMetricsRequest(MetricsRequest{1}),
       EncodeMetricsResponse(metrics)};
   for (const std::string& payload : payloads) {
     for (size_t cut = 0; cut < payload.size(); ++cut) {
       const std::string_view prefix(payload.data(), cut);
       ScoreRequest r;
       ScoreResponse sr;
-      StatsRequest str;
-      StatsResponse sts;
       MetricsRequest mr;
       MetricsResponse mrs;
       EXPECT_FALSE(DecodeScoreRequest(prefix, &r).ok()) << "cut " << cut;
       EXPECT_FALSE(DecodeScoreResponse(prefix, &sr).ok()) << "cut " << cut;
-      EXPECT_FALSE(DecodeStatsRequest(prefix, &str).ok()) << "cut " << cut;
-      EXPECT_FALSE(DecodeStatsResponse(prefix, &sts).ok()) << "cut " << cut;
       EXPECT_FALSE(DecodeMetricsRequest(prefix, &mr).ok()) << "cut " << cut;
       EXPECT_FALSE(DecodeMetricsResponse(prefix, &mrs).ok()) << "cut " << cut;
     }
@@ -332,14 +297,10 @@ TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
     const std::string padded = payload + '\0';
     ScoreRequest r;
     ScoreResponse sr;
-    StatsRequest str;
-    StatsResponse sts;
     MetricsRequest mr;
     MetricsResponse mrs;
     EXPECT_FALSE(DecodeScoreRequest(padded, &r).ok());
     EXPECT_FALSE(DecodeScoreResponse(padded, &sr).ok());
-    EXPECT_FALSE(DecodeStatsRequest(padded, &str).ok());
-    EXPECT_FALSE(DecodeStatsResponse(padded, &sts).ok());
     EXPECT_FALSE(DecodeMetricsRequest(padded, &mr).ok());
     EXPECT_FALSE(DecodeMetricsResponse(padded, &mrs).ok());
   }
@@ -764,7 +725,8 @@ TEST(RequestHandlerTest, StatsExposeDatasetShape) {
   handler->AppendStats(&stats);
   EXPECT_EQ(stats["handler.num_tweets"], f.world.tweets().size());
   EXPECT_EQ(stats["handler.num_users"], f.world.NumUsers());
-  EXPECT_EQ(stats["handler.num_workers"], 2u);
+  // The worker count is the server's serve.workers gauge, not a fact here.
+  EXPECT_EQ(stats.count("handler.num_workers"), 0u);
 }
 
 TEST(RequestHandlerTest, CoalescedBatchIsByteIdenticalToUnbatched) {
@@ -880,38 +842,18 @@ std::string TestSocketPath(const char* tag) {
   return buf;
 }
 
-Result<int> ConnectTo(const std::string& path) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long");
-  }
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket failed");
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    close(fd);
-    return Status::IOError("connect failed");
-  }
-  return fd;
+Target UnixTarget(const std::string& path) {
+  Target target;
+  target.path = path;
+  return target;
 }
 
-Result<int> ConnectTcpTo(uint16_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket failed");
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    close(fd);
-    return Status::IOError("tcp connect failed");
-  }
-  return fd;
+Target TcpTarget(uint16_t port) {
+  Target target;
+  target.tcp = true;
+  target.host = "127.0.0.1";
+  target.port = std::to_string(port);
+  return target;
 }
 
 /// One closed-loop score round trip.
@@ -926,28 +868,19 @@ Result<ScoreResponse> RoundTrip(int fd, const ScoreRequest& req) {
   return resp;
 }
 
-Result<std::map<std::string, uint64_t>> FetchStats(
-    const std::string& path) {
-  auto fd = ConnectTo(path);
-  RETINA_RETURN_NOT_OK(fd.status());
-  StatsRequest req;
-  req.request_id = 1;
-  Status st = WriteFrame(fd.ValueOrDie(), EncodeStatsRequest(req));
-  std::map<std::string, uint64_t> out;
-  if (st.ok()) {
-    std::string payload;
-    bool eof = false;
-    st = ReadFrame(fd.ValueOrDie(), &payload, &eof);
-    if (st.ok() && eof) st = Status::IOError("eof before stats");
-    if (st.ok()) {
-      StatsResponse resp;
-      st = DecodeStatsResponse(payload, &resp);
-      if (st.ok()) out = std::move(resp.stats);
-    }
-  }
-  close(fd.ValueOrDie());
-  RETINA_RETURN_NOT_OK(st);
-  return out;
+/// Growth of registry counter `name` since `before`. The serve.* counters
+/// are process-wide, shared by every server in this binary, so exact-count
+/// pins read the delta across one server's traffic.
+uint64_t CounterSince(const obs::RegistrySnapshot& before,
+                      const std::string& name) {
+  const obs::RegistrySnapshot delta = obs::Registry::SnapshotDelta(
+      before, obs::Registry::Global().TakeSnapshot());
+  const auto it = delta.counters.find(name);
+  return it == delta.counters.end() ? 0 : it->second;
+}
+
+int64_t GaugeNow(const std::string& name) {
+  return obs::Registry::Global().GetGauge(name)->Get();
 }
 
 TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
@@ -958,6 +891,7 @@ TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
   ServerOptions sopts;
   sopts.socket_path = TestSocketPath("conc");
   Server server(handler.get(), sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
 
   constexpr size_t kClients = 4;
@@ -970,7 +904,7 @@ TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      auto fd = ConnectTo(sopts.socket_path);
+      auto fd = Connect(UnixTarget(sopts.socket_path));
       if (!fd.ok()) {
         failures[c] = fd.status().ToString();
         return;
@@ -998,7 +932,7 @@ TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
   // Byte-identity spot check on a fresh connection, against the direct
   // in-process engine.
   {
-    auto fd = ConnectTo(sopts.socket_path);
+    auto fd = Connect(UnixTarget(sopts.socket_path));
     ASSERT_TRUE(fd.ok());
     for (const ScoreRequest& req : MakeRequests(f, 6, 999)) {
       auto resp = RoundTrip(fd.ValueOrDie(), req);
@@ -1012,13 +946,11 @@ TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
 
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_EQ(stats["serve.requests"], kClients * kPerClient + 6);
-  EXPECT_EQ(stats["serve.responses"], stats["serve.requests"]);
-  EXPECT_EQ(stats["serve.shed"], 0u);
-  EXPECT_EQ(stats["serve.errors"], 0u);
-  EXPECT_EQ(stats["serve.protocol_errors"], 0u);
+  EXPECT_EQ(CounterSince(before, "serve.requests"), kClients * kPerClient + 6);
+  EXPECT_EQ(CounterSince(before, "serve.responses"), kClients * kPerClient + 6);
+  EXPECT_EQ(CounterSince(before, "serve.shed"), 0u);
+  EXPECT_EQ(CounterSince(before, "serve.errors"), 0u);
+  EXPECT_EQ(CounterSince(before, "serve.protocol_errors"), 0u);
 }
 
 /// One kMetrics round trip on an already-open connection.
@@ -1035,7 +967,7 @@ Result<MetricsResponse> FetchMetrics(int fd) {
   return resp;
 }
 
-TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
+TEST(ServerTest, MetricsAnsweredInlineWithLiveCounters) {
   auto& f = SharedFixture();
   auto handler = RequestHandler::Borrow(f.model.get(), f.extractor.get(), {});
   ServerOptions sopts;
@@ -1044,8 +976,11 @@ TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
   Server server(handler.get(), sopts);
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
+  auto first = FetchMetrics(fd.ValueOrDie());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const obs::RegistrySnapshot before = first.ValueOrDie().snapshot;
   const auto requests = MakeRequests(f, 6, 321);
   for (const ScoreRequest& req : requests) {
     auto resp = RoundTrip(fd.ValueOrDie(), req);
@@ -1056,20 +991,26 @@ TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
   // metrics probe racing the last response can read one short; re-poll
   // until it settles (bounded).
   obs::RegistrySnapshot snap;
+  obs::RegistrySnapshot delta;
   for (int attempt = 0; attempt < 200; ++attempt) {
     auto metrics = FetchMetrics(fd.ValueOrDie());
     ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
     snap = std::move(metrics.ValueOrDie().snapshot);
-    if (snap.counters.at("serve.responses") >= requests.size()) break;
+    delta = obs::Registry::SnapshotDelta(before, snap);
+    if (delta.counters.at("serve.responses") >= requests.size()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Server-owned counters are overlaid into the snapshot, so the reply
-  // is authoritative even with obs disabled or compiled out.
-  EXPECT_EQ(snap.counters.at("serve.requests"), requests.size());
-  EXPECT_EQ(snap.counters.at("serve.responses"), requests.size());
-  EXPECT_EQ(snap.counters.at("serve.shed"), 0u);
-  EXPECT_EQ(snap.counters.at("handler.num_workers"),
-            handler->num_workers());
+  // Counters count in every build, so the reply is exact even with obs
+  // disabled or compiled out.
+  EXPECT_EQ(delta.counters.at("serve.requests"), requests.size());
+  EXPECT_EQ(delta.counters.at("serve.responses"), requests.size());
+  EXPECT_EQ(delta.counters.at("serve.shed"), 0u);
+  EXPECT_EQ(snap.gauges.at("serve.workers"),
+            static_cast<int64_t>(handler->num_workers()));
+  // The handler's facts ride in the gauges section.
+  EXPECT_EQ(snap.gauges.at("handler.num_tweets"),
+            static_cast<int64_t>(f.world.tweets().size()));
+  EXPECT_EQ(snap.gauges.count("handler.num_workers"), 0u);
   if (obs::kCompiledIn) {
     // The windowed view of the handle latency is live: the current
     // partial slot counts, so no cadence boundary needs to have passed.
@@ -1079,39 +1020,6 @@ TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
     // Cadence boundary crossed (6 requests / tick every 2): the ring
     // rotated at least once.
     EXPECT_GT(snap.windows.at("serve.handle_ns").ticks, 0u);
-  }
-  close(fd.ValueOrDie());
-  server.RequestShutdown();
-  ASSERT_TRUE(server.Wait().ok());
-}
-
-TEST(ServerTest, V1ScoreFramesWithoutTraceTailScoreByteIdentically) {
-  auto& f = SharedFixture();
-  auto handler = RequestHandler::Borrow(f.model.get(), f.extractor.get(), {});
-  ServerOptions sopts;
-  sopts.socket_path = TestSocketPath("v1");
-  Server server(handler.get(), sopts);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto fd = ConnectTo(sopts.socket_path);
-  ASSERT_TRUE(fd.ok());
-  for (const ScoreRequest& req : MakeRequests(f, 6, 55)) {
-    auto v2 = RoundTrip(fd.ValueOrDie(), req);
-    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-    ASSERT_EQ(v2.ValueOrDie().code, ResponseCode::kOk);
-
-    // The same request as an old client would frame it: version 1, no
-    // trace tail. Scores must be byte-identical.
-    ASSERT_TRUE(
-        WriteFrame(fd.ValueOrDie(), EncodeScoreRequestV1(req)).ok());
-    std::string payload;
-    bool eof = false;
-    ASSERT_TRUE(ReadFrame(fd.ValueOrDie(), &payload, &eof).ok());
-    ASSERT_FALSE(eof);
-    ScoreResponse v1;
-    ASSERT_TRUE(DecodeScoreResponse(payload, &v1).ok());
-    ASSERT_EQ(v1.code, ResponseCode::kOk);
-    ExpectBitIdentical(v1.scores, v2.ValueOrDie().scores, "v1 vs v2");
   }
   close(fd.ValueOrDie());
   server.RequestShutdown();
@@ -1130,7 +1038,7 @@ TEST(ServerTest, ClientTraceContextPropagatesIntoHandleSpans) {
   obs::StartTracing();
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   ScoreRequest req = MakeRequests(f, 1, 77)[0];
   req.trace_id = 43981;  // 0xABCD — a "client-minted" trace id
@@ -1202,9 +1110,10 @@ TEST(ServerTest, FullQueueShedsImmediatelyAndDrainAnswersAdmitted) {
   sopts.socket_path = TestSocketPath("shed");
   sopts.queue_capacity = 1;
   Server server(&handler, sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   auto send_req = [&](uint64_t id) {
     ScoreRequest req;
@@ -1217,16 +1126,10 @@ TEST(ServerTest, FullQueueShedsImmediatelyAndDrainAnswersAdmitted) {
   handler.WaitUntilEntered(1);
   send_req(2);
   for (int spin = 0; spin < 2000 && server.draining() == false; ++spin) {
-    std::map<std::string, uint64_t> s;
-    server.SnapshotStats(&s);
-    if (s["serve.requests"] >= 2) break;
+    if (CounterSince(before, "serve.requests") >= 2) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  {
-    std::map<std::string, uint64_t> s;
-    server.SnapshotStats(&s);
-    ASSERT_EQ(s["serve.requests"], 2u);
-  }
+  ASSERT_EQ(CounterSince(before, "serve.requests"), 2u);
 
   // With the worker wedged and the queue full, every further request must
   // shed with an immediate kShed reply — the reader answers, bounded-time.
@@ -1263,37 +1166,40 @@ TEST(ServerTest, FullQueueShedsImmediatelyAndDrainAnswersAdmitted) {
   ASSERT_TRUE(server.Wait().ok());
   close(fd.ValueOrDie());
 
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_EQ(stats["serve.requests"], 2u);
-  EXPECT_EQ(stats["serve.responses"], 2u);
-  EXPECT_EQ(stats["serve.shed"], kShedRequests);
-  EXPECT_GE(stats["serve.queue_depth_peak"], 1u);
+  EXPECT_EQ(CounterSince(before, "serve.requests"), 2u);
+  EXPECT_EQ(CounterSince(before, "serve.responses"), 2u);
+  EXPECT_EQ(CounterSince(before, "serve.shed"), kShedRequests);
+  // Capacity 1 and two admitted requests: the peak since Start is exactly 1.
+  EXPECT_EQ(GaugeNow("serve.queue.depth_peak"), 1);
 }
 
-TEST(ServerTest, StatsRequestAnsweredInlineWhileWorkersAreBusy) {
+TEST(ServerTest, MetricsRequestAnsweredInlineWhileWorkersAreBusy) {
   StallingHandler handler;
   ServerOptions sopts;
   sopts.socket_path = TestSocketPath("stats");
   sopts.queue_capacity = 4;
   Server server(&handler, sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   ScoreRequest req;
   req.request_id = 1;
   ASSERT_TRUE(WriteFrame(fd.ValueOrDie(), EncodeScoreRequest(req)).ok());
   handler.WaitUntilEntered(1);
 
-  // The worker is wedged, yet stats must answer: they ride the reader
+  // The worker is wedged, yet metrics must answer: they ride the reader
   // thread, not the admission queue.
-  auto stats = FetchStats(sopts.socket_path);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.ValueOrDie().at("serve.requests"), 1u);
-  EXPECT_EQ(stats.ValueOrDie().at("serve.workers"), 1u);
-  EXPECT_EQ(stats.ValueOrDie().at("serve.queue_capacity"), 4u);
-  EXPECT_EQ(stats.ValueOrDie().at("stall.entered"), 1u);  // handler merged
+  obs::RegistrySnapshot snap;
+  const Status probe = QueryMetrics(UnixTarget(sopts.socket_path), 2, &snap);
+  ASSERT_TRUE(probe.ok()) << probe.ToString();
+  EXPECT_EQ(obs::Registry::SnapshotDelta(before, snap)
+                .counters.at("serve.requests"),
+            1u);
+  EXPECT_EQ(snap.gauges.at("serve.workers"), 1);
+  EXPECT_EQ(snap.gauges.at("serve.queue.capacity"), 4);
+  EXPECT_EQ(snap.gauges.at("stall.entered"), 1);  // handler fact merged
 
   handler.Release();
   server.RequestShutdown();
@@ -1307,12 +1213,13 @@ TEST(ServerTest, ProtocolGarbageClosesConnectionNotServer) {
   ServerOptions sopts;
   sopts.socket_path = TestSocketPath("garb");
   Server server(handler.get(), sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
 
   {
     // A frame whose payload is garbage: the server must close this
     // connection (observed as EOF) without taking the daemon down.
-    auto fd = ConnectTo(sopts.socket_path);
+    auto fd = Connect(UnixTarget(sopts.socket_path));
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(WriteFrame(fd.ValueOrDie(), "not a retina frame").ok());
     std::string payload;
@@ -1323,7 +1230,7 @@ TEST(ServerTest, ProtocolGarbageClosesConnectionNotServer) {
   }
 
   // The server still serves real traffic afterwards.
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   const auto reqs = MakeRequests(f, 1, 7);
   auto resp = RoundTrip(fd.ValueOrDie(), reqs[0]);
@@ -1333,9 +1240,7 @@ TEST(ServerTest, ProtocolGarbageClosesConnectionNotServer) {
 
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_GE(stats["serve.protocol_errors"], 1u);
+  EXPECT_GE(CounterSince(before, "serve.protocol_errors"), 1u);
 }
 
 TEST(ServerTest, SigtermDrainsGracefully) {
@@ -1345,9 +1250,11 @@ TEST(ServerTest, SigtermDrainsGracefully) {
   sopts.socket_path = TestSocketPath("term");
   sopts.install_signal_handler = true;
   Server server(handler.get(), sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(GaugeNow("serve.draining"), 0);
 
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   const auto reqs = MakeRequests(f, 3, 13);
   for (const ScoreRequest& req : reqs) {
@@ -1359,13 +1266,11 @@ TEST(ServerTest, SigtermDrainsGracefully) {
   ASSERT_TRUE(server.Wait().ok());
   close(fd.ValueOrDie());
 
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_EQ(stats["serve.requests"], reqs.size());
-  EXPECT_EQ(stats["serve.responses"], reqs.size());
-  EXPECT_EQ(stats["serve.draining"], 1u);
+  EXPECT_EQ(CounterSince(before, "serve.requests"), reqs.size());
+  EXPECT_EQ(CounterSince(before, "serve.responses"), reqs.size());
+  EXPECT_EQ(GaugeNow("serve.draining"), 1);
   // The socket file is unlinked on drain; new connections must fail.
-  EXPECT_FALSE(ConnectTo(sopts.socket_path).ok());
+  EXPECT_FALSE(Connect(UnixTarget(sopts.socket_path)).ok());
 }
 
 /// Handler that records every HandleScoreBatch call's size and blocks
@@ -1452,10 +1357,11 @@ TEST(ServerTest, SameTweetRequestsCoalesceAndFanOutExactBitPatterns) {
   sopts.queue_capacity = 16;
   sopts.coalesce_max_batch = 8;
   Server server(&handler, sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd_a = ConnectTo(sopts.socket_path);
-  auto fd_b = ConnectTo(sopts.socket_path);
+  auto fd_a = Connect(UnixTarget(sopts.socket_path));
+  auto fd_b = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd_a.ok());
   ASSERT_TRUE(fd_b.ok());
   auto send_req = [](int fd, uint64_t id) {
@@ -1477,9 +1383,7 @@ TEST(ServerTest, SameTweetRequestsCoalesceAndFanOutExactBitPatterns) {
   send_req(fd_b.ValueOrDie(), 5);
   send_req(fd_a.ValueOrDie(), 6);
   for (int spin = 0; spin < 5000; ++spin) {
-    std::map<std::string, uint64_t> s;
-    server.SnapshotStats(&s);
-    if (s["serve.requests"] >= 6) break;
+    if (CounterSince(before, "serve.requests") >= 6) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -1520,13 +1424,11 @@ TEST(ServerTest, SameTweetRequestsCoalesceAndFanOutExactBitPatterns) {
   EXPECT_EQ(sizes[0], 1u);
   EXPECT_EQ(sizes[1], 5u);
 
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_EQ(stats["serve.requests"], 6u);
-  EXPECT_EQ(stats["serve.responses"], 6u);
-  EXPECT_EQ(stats["serve.coalesce.batches"], 1u);
-  EXPECT_EQ(stats["serve.coalesce.batched_requests"], 5u);
-  EXPECT_EQ(stats["serve.coalesce.max_batch"], 8u);
+  EXPECT_EQ(CounterSince(before, "serve.requests"), 6u);
+  EXPECT_EQ(CounterSince(before, "serve.responses"), 6u);
+  EXPECT_EQ(CounterSince(before, "serve.coalesce.batches"), 1u);
+  EXPECT_EQ(CounterSince(before, "serve.coalesce.batched_requests"), 5u);
+  EXPECT_EQ(GaugeNow("serve.coalesce.max_batch"), 8);
 }
 
 TEST(ServerTest, CoalescingDisabledDispatchesEveryRequestAlone) {
@@ -1536,9 +1438,10 @@ TEST(ServerTest, CoalescingDisabledDispatchesEveryRequestAlone) {
   sopts.queue_capacity = 16;
   sopts.coalesce_max_batch = 1;  // the pre-coalescing behavior
   Server server(&handler, sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   for (uint64_t id = 1; id <= 4; ++id) {
     ScoreRequest req;
@@ -1549,9 +1452,7 @@ TEST(ServerTest, CoalescingDisabledDispatchesEveryRequestAlone) {
   }
   handler.WaitUntilCalls(1);
   for (int spin = 0; spin < 5000; ++spin) {
-    std::map<std::string, uint64_t> s;
-    server.SnapshotStats(&s);
-    if (s["serve.requests"] >= 4) break;
+    if (CounterSince(before, "serve.requests") >= 4) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   handler.Release();
@@ -1568,10 +1469,8 @@ TEST(ServerTest, CoalescingDisabledDispatchesEveryRequestAlone) {
   for (const size_t size : handler.batch_sizes()) {
     EXPECT_EQ(size, 1u) << "max_batch=1 must never fuse";
   }
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_EQ(stats["serve.coalesce.batches"], 0u);
-  EXPECT_EQ(stats["serve.coalesce.batched_requests"], 0u);
+  EXPECT_EQ(CounterSince(before, "serve.coalesce.batches"), 0u);
+  EXPECT_EQ(CounterSince(before, "serve.coalesce.batched_requests"), 0u);
 }
 
 // ---------------------------------------------------------- TCP listener --
@@ -1582,10 +1481,12 @@ TEST(ServerTest, TcpListenerServesByteIdenticalScores) {
   ServerOptions sopts;
   sopts.listen_address = "127.0.0.1:0";  // kernel-assigned port, no Unix
   Server server(handler.get(), sopts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.tcp_port(), 0) << "port 0 must resolve to a bound port";
+  const Target tcp = TcpTarget(server.tcp_port());
 
-  auto fd = ConnectTcpTo(server.tcp_port());
+  auto fd = Connect(tcp);
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   const auto reqs = MakeRequests(f, 6, 311);
   for (size_t i = 0; i < reqs.size(); ++i) {
@@ -1600,12 +1501,10 @@ TEST(ServerTest, TcpListenerServesByteIdenticalScores) {
 
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
-  std::map<std::string, uint64_t> stats;
-  server.SnapshotStats(&stats);
-  EXPECT_EQ(stats["serve.requests"], reqs.size());
-  EXPECT_EQ(stats["serve.responses"], reqs.size());
+  EXPECT_EQ(CounterSince(before, "serve.requests"), reqs.size());
+  EXPECT_EQ(CounterSince(before, "serve.responses"), reqs.size());
   // The drain closed the TCP listener: new connections must fail.
-  EXPECT_FALSE(ConnectTcpTo(server.tcp_port()).ok());
+  EXPECT_FALSE(Connect(tcp).ok());
 }
 
 TEST(ServerTest, BothTransportsServeTheSameBytesSimultaneously) {
@@ -1618,8 +1517,8 @@ TEST(ServerTest, BothTransportsServeTheSameBytesSimultaneously) {
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.tcp_port(), 0);
 
-  auto unix_fd = ConnectTo(sopts.socket_path);
-  auto tcp_fd = ConnectTcpTo(server.tcp_port());
+  auto unix_fd = Connect(UnixTarget(sopts.socket_path));
+  auto tcp_fd = Connect(TcpTarget(server.tcp_port()));
   ASSERT_TRUE(unix_fd.ok());
   ASSERT_TRUE(tcp_fd.ok());
   for (const ScoreRequest& req : MakeRequests(f, 4, 733)) {
@@ -1661,7 +1560,7 @@ TEST(ServerTest, StaleSocketFileFromKilledRunIsReclaimed) {
     close(fd);  // no unlink: the inode stays, with no listener behind it
   }
   ASSERT_EQ(access(path.c_str(), F_OK), 0);
-  ASSERT_FALSE(ConnectTo(path).ok());  // it really is dead
+  ASSERT_FALSE(Connect(UnixTarget(path)).ok());  // it really is dead
 
   auto& f = SharedFixture();
   auto handler = RequestHandler::Borrow(f.model.get(), f.extractor.get(), {});
@@ -1670,7 +1569,7 @@ TEST(ServerTest, StaleSocketFileFromKilledRunIsReclaimed) {
   Server server(handler.get(), sopts);
   ASSERT_TRUE(server.Start().ok()) << "stale socket file must be reclaimed";
 
-  auto fd = ConnectTo(path);
+  auto fd = Connect(UnixTarget(path));
   ASSERT_TRUE(fd.ok());
   const auto reqs = MakeRequests(f, 1, 17);
   auto resp = RoundTrip(fd.ValueOrDie(), reqs[0]);
@@ -1698,7 +1597,7 @@ TEST(ServerTest, LiveServersSocketIsNeverStolen) {
       << st.ToString();
 
   // And the refusal must not have disturbed the live server.
-  auto fd = ConnectTo(sopts.socket_path);
+  auto fd = Connect(UnixTarget(sopts.socket_path));
   ASSERT_TRUE(fd.ok());
   const auto reqs = MakeRequests(f, 1, 23);
   auto resp = RoundTrip(fd.ValueOrDie(), reqs[0]);
@@ -1724,7 +1623,7 @@ TEST(ServerTest, TracingTheServePathDoesNotPerturbScores) {
     Server server(handler.get(), sopts);
     EXPECT_TRUE(server.Start().ok());
     std::vector<Vec> all;
-    auto fd = ConnectTo(sopts.socket_path);
+    auto fd = Connect(UnixTarget(sopts.socket_path));
     EXPECT_TRUE(fd.ok());
     for (const ScoreRequest& req : reqs) {
       auto resp = RoundTrip(fd.ValueOrDie(), req);

@@ -26,16 +26,13 @@
 // achieved throughput, p50/p95/p99 latency (from the obs histogram, so
 // quantiles are log2-bucket upper bounds), client-side ok/shed/error/
 // dropped counts, and the server's own shed / queue-depth-peak /
-// coalescing deltas fetched over the kStats protocol message.
+// coalescing numbers. Those come from the daemon's kMetrics reply (the
+// dataset shape from its handler.* gauges, per-point counter deltas from
+// Registry::SnapshotDelta), over the shared client in serve/client.h.
 // check_bench.py gates the shape of this curve (p99 finite, zero shed
 // below capacity) and the batched-vs-unbatched hot-set throughput
 // ratio, never absolute latency.
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -45,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -57,25 +53,16 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "serve/client.h"
 #include "serve/handler.h"
 #include "serve/protocol.h"
 
 namespace {
 
 using namespace retina;
-
-/// Where to connect: a Unix-domain socket path or a TCP host:port, as
-/// parsed from --connect / --socket.
-struct Target {
-  bool tcp = false;
-  std::string path;  ///< unix socket path (tcp == false)
-  std::string host;  ///< tcp host (tcp == true)
-  std::string port;  ///< tcp port (tcp == true)
-
-  std::string Describe() const {
-    return tcp ? "tcp:" + host + ":" + port : "unix:" + path;
-  }
-};
+using serve::Connect;
+using serve::Target;
+using serve::ValueOr;
 
 struct Args {
   Target target;
@@ -130,28 +117,6 @@ int Usage() {
   return 2;
 }
 
-/// Parses "unix:PATH" / "tcp:HOST:PORT" / bare path into a Target.
-bool ParseTarget(const std::string& uri, Target* target) {
-  if (uri.rfind("unix:", 0) == 0) {
-    target->tcp = false;
-    target->path = uri.substr(5);
-    return !target->path.empty();
-  }
-  if (uri.rfind("tcp:", 0) == 0) {
-    const std::string rest = uri.substr(4);
-    const size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) return false;
-    target->tcp = true;
-    target->host = rest.substr(0, colon);
-    target->port = rest.substr(colon + 1);
-    if (target->host.empty()) target->host = "127.0.0.1";
-    return !target->port.empty();
-  }
-  target->tcp = false;
-  target->path = uri;
-  return !target->path.empty();
-}
-
 int UnknownFlag(const std::string& arg) {
   std::fprintf(stderr, "%s\n",
                Status::InvalidArgument("unknown flag '" + arg +
@@ -202,7 +167,7 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
       continue;
     }
     if (take("--connect", &value) || take("--socket", &value)) {
-      if (!ParseTarget(value, &args->target)) {
+      if (!serve::ParseTarget(value, &args->target)) {
         std::fprintf(stderr, "bad --connect target: %s\n", value.c_str());
         *rc = 2;
         return false;
@@ -269,97 +234,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-Result<int> ConnectUnix(const std::string& path) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long: " + path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status st = Status::IOError("connect " + path +
-                                      " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  return fd;
-}
-
-Result<int> ConnectTcp(const std::string& host, const std::string& port) {
-  struct addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-  if (gai != 0) {
-    return Status::InvalidArgument("cannot resolve tcp:" + host + ":" + port +
-                                   ": " + ::gai_strerror(gai));
-  }
-  Status st = Status::IOError("no usable address for tcp:" + host + ":" + port);
-  int fd = -1;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      // Frames are whole messages; don't let Nagle sit on them.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      st = Status::OK();
-      break;
-    }
-    st = Status::IOError("connect tcp:" + host + ":" + port +
-                         " failed: " + std::strerror(errno));
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  if (!st.ok()) return st;
-  return fd;
-}
-
-Result<int> Connect(const Target& target) {
-  return target.tcp ? ConnectTcp(target.host, target.port)
-                    : ConnectUnix(target.path);
-}
-
-/// One kStats round trip on a fresh connection.
-Status QueryStats(const Target& target,
-                  std::map<std::string, uint64_t>* stats) {
-  auto fd_result = Connect(target);
-  if (!fd_result.ok()) return fd_result.status();
-  const int fd = fd_result.ValueOrDie();
-  serve::StatsRequest req;
-  req.request_id = 1;
-  Status st = serve::WriteFrame(fd, serve::EncodeStatsRequest(req));
-  if (st.ok()) {
-    std::string payload;
-    bool eof = false;
-    st = serve::ReadFrame(fd, &payload, &eof);
-    if (st.ok() && eof) st = Status::IOError("server closed during stats");
-    if (st.ok()) {
-      serve::StatsResponse resp;
-      st = serve::DecodeStatsResponse(payload, &resp);
-      if (st.ok()) *stats = std::move(resp.stats);
-    }
-  }
-  ::close(fd);
-  return st;
-}
-
-uint64_t StatOr(const std::map<std::string, uint64_t>& stats,
-                const std::string& key, uint64_t fallback) {
-  const auto it = stats.find(key);
-  return it == stats.end() ? fallback : it->second;
 }
 
 /// Sends one score request, stamping it with a freshly minted client trace
@@ -566,8 +440,8 @@ Status RunPoint(const Args& args, size_t point_idx, double target_qps,
   const size_t conns = args.connections;
   result->target_qps = target_qps;
 
-  std::map<std::string, uint64_t> before;
-  RETINA_RETURN_NOT_OK(QueryStats(args.target, &before));
+  obs::RegistrySnapshot before;
+  RETINA_RETURN_NOT_OK(serve::QueryMetrics(args.target, 1, &before));
 
   std::vector<int> fds(conns, -1);
   for (size_t c = 0; c < conns; ++c) {
@@ -707,26 +581,24 @@ Status RunPoint(const Args& args, size_t point_idx, double target_qps,
   result->latency_p95_ns = hooks.latency_ns->Quantile(0.95);
   result->latency_p99_ns = hooks.latency_ns->Quantile(0.99);
 
-  std::map<std::string, uint64_t> after;
-  RETINA_RETURN_NOT_OK(QueryStats(args.target, &after));
-  result->server_shed_delta =
-      StatOr(after, "serve.shed", 0) - StatOr(before, "serve.shed", 0);
-  result->server_requests_delta = StatOr(after, "serve.requests", 0) -
-                                  StatOr(before, "serve.requests", 0);
-  result->server_responses_delta = StatOr(after, "serve.responses", 0) -
-                                   StatOr(before, "serve.responses", 0);
-  result->server_queue_depth_peak = StatOr(after, "serve.queue_depth_peak", 0);
+  obs::RegistrySnapshot after;
+  RETINA_RETURN_NOT_OK(serve::QueryMetrics(args.target, 2, &after));
+  const obs::RegistrySnapshot delta =
+      obs::Registry::SnapshotDelta(before, after);
+  result->server_shed_delta = ValueOr(delta.counters, "serve.shed", 0);
+  result->server_requests_delta = ValueOr(delta.counters, "serve.requests", 0);
+  result->server_responses_delta =
+      ValueOr(delta.counters, "serve.responses", 0);
+  result->server_queue_depth_peak =
+      ValueOr(after.gauges, "serve.queue.depth_peak", 0);
   result->coalesce_batches_delta =
-      StatOr(after, "serve.coalesce.batches", 0) -
-      StatOr(before, "serve.coalesce.batches", 0);
+      ValueOr(delta.counters, "serve.coalesce.batches", 0);
   result->coalesce_batched_requests_delta =
-      StatOr(after, "serve.coalesce.batched_requests", 0) -
-      StatOr(before, "serve.coalesce.batched_requests", 0);
+      ValueOr(delta.counters, "serve.coalesce.batched_requests", 0);
   return Status::OK();
 }
 
-Status WriteBenchJson(const Args& args,
-                      const std::map<std::string, uint64_t>& server_stats,
+Status WriteBenchJson(const Args& args, const obs::RegistrySnapshot& server,
                       const std::vector<PointResult>& points) {
   FILE* f = std::fopen(args.out.c_str(), "w");
   if (f == nullptr) {
@@ -748,15 +620,15 @@ Status WriteBenchJson(const Args& args,
   std::fprintf(f, "  \"skew\": %g,\n", args.skew);
   std::fprintf(f, "  \"coalesce_max_batch\": %llu,\n",
                static_cast<unsigned long long>(
-                   StatOr(server_stats, "serve.coalesce.max_batch", 1)));
+                   ValueOr(server.gauges, "serve.coalesce.max_batch", 1)));
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(args.seed));
   std::fprintf(f, "  \"workers\": %llu,\n",
                static_cast<unsigned long long>(
-                   StatOr(server_stats, "serve.workers", 0)));
+                   ValueOr(server.gauges, "serve.workers", 0)));
   std::fprintf(f, "  \"queue_capacity\": %llu,\n",
                static_cast<unsigned long long>(
-                   StatOr(server_stats, "serve.queue_capacity", 0)));
+                   ValueOr(server.gauges, "serve.queue.capacity", 0)));
   std::fprintf(f, "  \"points\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const PointResult& p = points[i];
@@ -829,14 +701,14 @@ int main(int argc, char** argv) {
 
   // Learn the dataset shape from the daemon instead of loading the world:
   // the driver stays a pure protocol client.
-  std::map<std::string, uint64_t> stats;
-  Status st = QueryStats(args.target, &stats);
+  obs::RegistrySnapshot server;
+  Status st = serve::QueryMetrics(args.target, 1, &server);
   if (!st.ok()) return Fail(st);
-  const uint64_t num_tweets = StatOr(stats, "handler.num_tweets", 0);
-  const uint64_t num_users = StatOr(stats, "handler.num_users", 0);
+  const uint64_t num_tweets = ValueOr(server.gauges, "handler.num_tweets", 0);
+  const uint64_t num_users = ValueOr(server.gauges, "handler.num_users", 0);
   if (num_tweets == 0 || num_users == 0) {
     return Fail(Status::FailedPrecondition(
-        "server stats did not report handler.num_tweets/num_users"));
+        "server metrics did not report handler.num_tweets/num_users"));
   }
   std::printf("server at %s: %llu tweets, %llu users, %llu workers, "
               "queue capacity %llu, coalesce max batch %llu\n",
@@ -844,11 +716,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(num_tweets),
               static_cast<unsigned long long>(num_users),
               static_cast<unsigned long long>(
-                  StatOr(stats, "serve.workers", 0)),
+                  ValueOr(server.gauges, "serve.workers", 0)),
               static_cast<unsigned long long>(
-                  StatOr(stats, "serve.queue_capacity", 0)),
+                  ValueOr(server.gauges, "serve.queue.capacity", 0)),
               static_cast<unsigned long long>(
-                  StatOr(stats, "serve.coalesce.max_batch", 1)));
+                  ValueOr(server.gauges, "serve.coalesce.max_batch", 1)));
 
   const Workload workload(num_tweets, num_users, args.users_per_request,
                           args.hot_set, args.skew);
@@ -911,10 +783,9 @@ int main(int argc, char** argv) {
         static_cast<double>(result.latency_p99_ns) / 1e6);
   }
 
-  std::map<std::string, uint64_t> final_stats;
-  st = QueryStats(args.target, &final_stats);
+  st = serve::QueryMetrics(args.target, 3, &server);
   if (!st.ok()) return Fail(st);
-  st = WriteBenchJson(args, final_stats, points);
+  st = WriteBenchJson(args, server, points);
   if (!st.ok()) return Fail(st);
   std::printf("wrote %s (%zu points)\n", args.out.c_str(), points.size());
 

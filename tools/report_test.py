@@ -251,7 +251,7 @@ def check_e2e_metrics(path):
     """Renders a real --metrics-out export and checks section presence.
 
     With nonzero store.tier counters the "User store tiers" section must
-    render; with all-zero counters (obs compiled out) it must not.
+    render; with all-zero counters (no store traffic) it must not.
     """
     import json
     with open(path, encoding="utf-8") as f:
@@ -274,7 +274,7 @@ def check_e2e_serve(bench_path, metrics_path):
 
     The sweep table must carry one row per BENCH_serve.json point; the
     daemon metrics table appears only when the export holds nonzero
-    serve.* counters (it does not with obs compiled out).
+    serve.* counters.
     """
     import json
     with open(bench_path, encoding="utf-8") as f:

@@ -397,10 +397,18 @@ int CmdTrainRetweet(const Args& args) {
   // Score the test split through the serving engine: batched GEMM forward
   // with per-user feature caching, bit-identical to per-candidate scoring.
   core::ScoringEngine engine(&model, &fx.ValueOrDie());
-  const Vec scores = engine.ScoreCandidates(task, task.test);
+  obs::Registry& reg = obs::Registry::Global();
+  const obs::RegistrySnapshot before = reg.TakeSnapshot();
+  Vec scores;
+  engine.ScoreCandidatesInto(task, task.test, &scores);
+  const obs::RegistrySnapshot after = reg.TakeSnapshot();
+  const obs::RegistrySnapshot served =
+      obs::Registry::SnapshotDelta(before, after);
+  const auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(served.counters.at(name));
+  };
   const auto eval = core::EvaluateBinary(task.test, scores);
   const auto queries = core::MakeRankingQueries(task, task.test, scores);
-  const auto& st_eng = engine.stats();
   std::printf(
       "RETINA-%s%s: macro-F1 %.3f  ACC %.3f  AUC %.3f  MAP@20 %.3f  "
       "HITS@20 %.3f  (train %.1fs)\n",
@@ -411,12 +419,12 @@ int CmdTrainRetweet(const Args& args) {
   std::printf(
       "  serving: %llu requests, %llu candidates, user cache %llu/%llu "
       "hits (%llu evictions)\n",
-      static_cast<unsigned long long>(st_eng.requests),
-      static_cast<unsigned long long>(st_eng.candidates),
-      static_cast<unsigned long long>(st_eng.user_hits),
-      static_cast<unsigned long long>(st_eng.user_hits +
-                                      st_eng.user_misses),
-      static_cast<unsigned long long>(st_eng.user_evictions));
+      count("serving.requests"), count("serving.candidates"),
+      count("serving.user_cache.hits"),
+      count("serving.user_cache.hits") + count("serving.user_cache.misses"),
+      // The engine publishes its own eviction total as this gauge.
+      static_cast<unsigned long long>(
+          after.gauges.at("serving.user_cache.evictions")));
   if (!args.save_model.empty()) {
     core::ScoringBundleMeta meta;
     meta.task_seed = args.seed;
@@ -489,7 +497,8 @@ int CmdEval(const Args& args) {
     std::printf("user store: %zu users in %zu blocks\n",
                 engine.store()->num_entries(), engine.store()->num_blocks());
   }
-  const Vec scores = engine.ScoreCandidates(task, task.test);
+  Vec scores;
+  engine.ScoreCandidatesInto(task, task.test, &scores);
   const auto eval = core::EvaluateBinary(task.test, scores);
   const auto queries = core::MakeRankingQueries(task, task.test, scores);
   std::printf(

@@ -3,14 +3,14 @@
 //   retina_top --connect URI [--interval SECS] [--once] [--window N]
 //
 // Polls the daemon's kMetricsRequest wire command (a typed snapshot of
-// the obs registry with the server's authoritative traffic counters
-// overlaid) on a fresh connection each interval — exactly the way a
-// human would run `top`: no agent, no sidecar, just the wire protocol
-// the daemon already speaks. Rates (QPS, shed/s) are deltas between two
-// consecutive snapshots divided by the poll interval; windowed
-// p50/p95/p99 come straight from the daemon's windowed histograms, so
-// they describe the recent past (the last few metrics-cadence ticks),
-// not the whole run.
+// the obs registry, the daemon's one record of its counts) on a fresh
+// connection each interval, through the shared client in serve/client.h
+// — exactly the way a human would run `top`: no agent, no sidecar, just
+// the wire protocol the daemon already speaks. Rates (QPS, shed/s) are
+// deltas between two consecutive snapshots divided by the poll interval;
+// windowed p50/p95/p99 come straight from the daemon's windowed
+// histograms, so they describe the recent past (the last few
+// metrics-cadence ticks), not the whole run.
 //
 // Interactive mode redraws a plain-ANSI table each interval (no
 // ncurses; works in any terminal and in CI logs). --once takes exactly
@@ -19,45 +19,26 @@
 //
 // The monitor is an observer with the same contract as the rest of
 // retina::obs: it sends read-only metrics frames and never perturbs
-// scoring. With obs compiled out the daemon still answers (server-owned
-// stats), so qps/shed/queue rows stay live; cache and quantile rows
-// degrade to "-".
-
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
+// scoring. Counters and gauges count in every build, so with obs
+// compiled out the qps/shed/queue/cache rows stay live; only the windowed
+// quantile rows, which need histograms, read zero.
 
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/obs.h"
 #include "common/status.h"
-#include "serve/protocol.h"
+#include "serve/client.h"
 
 namespace {
 
 using namespace retina;
-
-/// Where to connect: a Unix-domain socket path or a TCP host:port, as
-/// parsed from --connect / --socket (same grammar as load_driver).
-struct Target {
-  bool tcp = false;
-  std::string path;
-  std::string host;
-  std::string port;
-
-  std::string Describe() const {
-    return tcp ? "tcp:" + host + ":" + port : "unix:" + path;
-  }
-};
+using serve::Target;
+using serve::ValueOr;
 
 struct Args {
   Target target;
@@ -76,27 +57,6 @@ int Usage() {
       "  --once            take two samples one interval apart, print\n"
       "                    plain 'key value' lines, and exit (scripting)\n");
   return 2;
-}
-
-bool ParseTarget(const std::string& uri, Target* target) {
-  if (uri.rfind("unix:", 0) == 0) {
-    target->tcp = false;
-    target->path = uri.substr(5);
-    return !target->path.empty();
-  }
-  if (uri.rfind("tcp:", 0) == 0) {
-    const std::string rest = uri.substr(4);
-    const size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) return false;
-    target->tcp = true;
-    target->host = rest.substr(0, colon);
-    target->port = rest.substr(colon + 1);
-    if (target->host.empty()) target->host = "127.0.0.1";
-    return !target->port.empty();
-  }
-  target->tcp = false;
-  target->path = uri;
-  return !target->path.empty();
 }
 
 bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
@@ -122,7 +82,7 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
     };
     std::string value;
     if (take("--connect", &value)) {
-      if (!ParseTarget(value, &args->target)) {
+      if (!serve::ParseTarget(value, &args->target)) {
         std::fprintf(stderr, "bad --connect: %s\n", value.c_str());
         *rc = 2;
         return false;
@@ -158,95 +118,11 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
   return true;
 }
 
-Result<int> ConnectUnix(const std::string& path) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long: " + path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status st = Status::IOError("connect " + path +
-                                      " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  return fd;
-}
-
-Result<int> ConnectTcp(const std::string& host, const std::string& port) {
-  struct addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-  if (gai != 0) {
-    return Status::InvalidArgument("cannot resolve tcp:" + host + ":" + port +
-                                   ": " + ::gai_strerror(gai));
-  }
-  Status st = Status::IOError("no usable address for tcp:" + host + ":" + port);
-  int fd = -1;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      st = Status::OK();
-      break;
-    }
-    st = Status::IOError("connect tcp:" + host + ":" + port +
-                         " failed: " + std::strerror(errno));
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  if (!st.ok()) return st;
-  return fd;
-}
-
-/// One kMetrics round trip on a fresh connection, like load_driver's
-/// QueryStats — a monitor should exercise the same connect path clients
-/// do, and a per-poll connection can never wedge the daemon's readers.
-Status QueryMetrics(const Target& target, uint64_t request_id,
-                    serve::MetricsResponse* out) {
-  auto fd_result = target.tcp ? ConnectTcp(target.host, target.port)
-                              : ConnectUnix(target.path);
-  if (!fd_result.ok()) return fd_result.status();
-  const int fd = fd_result.ValueOrDie();
-  serve::MetricsRequest req;
-  req.request_id = request_id;
-  Status st = serve::WriteFrame(fd, serve::EncodeMetricsRequest(req));
-  if (st.ok()) {
-    std::string payload;
-    bool eof = false;
-    st = serve::ReadFrame(fd, &payload, &eof);
-    if (st.ok() && eof) st = Status::IOError("server closed during metrics");
-    if (st.ok()) st = serve::DecodeMetricsResponse(payload, out);
-  }
-  ::close(fd);
-  return st;
-}
-
 /// One polled sample: wall time plus the daemon's registry snapshot.
 struct Sample {
   std::chrono::steady_clock::time_point when;
   obs::RegistrySnapshot snap;
 };
-
-uint64_t CounterOr(const obs::RegistrySnapshot& s, const std::string& key,
-                   uint64_t fallback) {
-  const auto it = s.counters.find(key);
-  return it == s.counters.end() ? fallback : it->second;
-}
 
 /// Everything one screen/record needs, derived from two samples.
 struct Derived {
@@ -277,31 +153,32 @@ Derived Derive(const Sample& prev, const Sample& cur) {
   d.dt = std::chrono::duration<double>(cur.when - prev.when).count();
   if (d.dt <= 0.0) d.dt = 1e-9;
   const obs::RegistrySnapshot& s = cur.snap;
-  d.responses = CounterOr(s, "serve.responses", 0);
-  d.requests = CounterOr(s, "serve.requests", 0);
-  d.shed = CounterOr(s, "serve.shed", 0);
-  d.errors = CounterOr(s, "serve.errors", 0);
-  d.connections = CounterOr(s, "serve.connections", 0);
-  d.queue_depth_peak = CounterOr(s, "serve.queue_depth_peak", 0);
-  d.queue_capacity = CounterOr(s, "serve.queue_capacity", 0);
-  d.workers = CounterOr(s, "serve.workers", 0);
-  d.draining = CounterOr(s, "serve.draining", 0) != 0;
-  const uint64_t prev_resp = CounterOr(prev.snap, "serve.responses", 0);
-  const uint64_t prev_shed = CounterOr(prev.snap, "serve.shed", 0);
+  d.responses = ValueOr(s.counters, "serve.responses", 0);
+  d.requests = ValueOr(s.counters, "serve.requests", 0);
+  d.shed = ValueOr(s.counters, "serve.shed", 0);
+  d.errors = ValueOr(s.counters, "serve.errors", 0);
+  d.connections = ValueOr(s.counters, "serve.connections", 0);
+  d.queue_depth_peak = ValueOr(s.gauges, "serve.queue.depth_peak", 0);
+  d.queue_capacity = ValueOr(s.gauges, "serve.queue.capacity", 0);
+  d.workers = ValueOr(s.gauges, "serve.workers", 0);
+  d.draining = ValueOr(s.gauges, "serve.draining", 0) != 0;
+  const uint64_t prev_resp = ValueOr(prev.snap.counters, "serve.responses", 0);
+  const uint64_t prev_shed = ValueOr(prev.snap.counters, "serve.shed", 0);
   d.qps = d.responses >= prev_resp ? (d.responses - prev_resp) / d.dt : 0.0;
   d.shed_per_sec = d.shed >= prev_shed ? (d.shed - prev_shed) / d.dt : 0.0;
-  const uint64_t batches = CounterOr(s, "serve.coalesce.batches", 0);
-  const uint64_t fused = CounterOr(s, "serve.coalesce.batched_requests", 0);
+  const uint64_t batches = ValueOr(s.counters, "serve.coalesce.batches", 0);
+  const uint64_t fused =
+      ValueOr(s.counters, "serve.coalesce.batched_requests", 0);
   d.coalesce_avg_batch =
       batches == 0 ? 0.0 : static_cast<double>(fused) / batches;
-  const uint64_t uh = CounterOr(s, "serving.user_cache.hits", 0);
-  const uint64_t um = CounterOr(s, "serving.user_cache.misses", 0);
+  const uint64_t uh = ValueOr(s.counters, "serving.user_cache.hits", 0);
+  const uint64_t um = ValueOr(s.counters, "serving.user_cache.misses", 0);
   if (uh + um > 0) {
     d.has_user_cache = true;
     d.user_cache_hit = static_cast<double>(uh) / (uh + um);
   }
-  const uint64_t th = CounterOr(s, "serving.tweet_cache.hits", 0);
-  const uint64_t tm = CounterOr(s, "serving.tweet_cache.misses", 0);
+  const uint64_t th = ValueOr(s.counters, "serving.tweet_cache.hits", 0);
+  const uint64_t tm = ValueOr(s.counters, "serving.tweet_cache.misses", 0);
   if (th + tm > 0) {
     d.has_tweet_cache = true;
     d.tweet_cache_hit = static_cast<double>(th) / (th + tm);
@@ -438,11 +315,9 @@ int main(int argc, char** argv) {
 
   uint64_t request_id = 1;
   auto poll = [&](Sample* out) -> Status {
-    serve::MetricsResponse resp;
-    const Status st = QueryMetrics(args.target, request_id++, &resp);
-    if (!st.ok()) return st;
+    RETINA_RETURN_NOT_OK(
+        serve::QueryMetrics(args.target, request_id++, &out->snap));
     out->when = std::chrono::steady_clock::now();
-    out->snap = std::move(resp.snapshot);
     return Status::OK();
   };
 
