@@ -1,6 +1,6 @@
 // Thread-scaling bench for the retina::par execution layer.
 //
-// Times four representative workloads at 1/2/4/8 threads and writes
+// Times five representative workloads at 1/2/4/8 threads and writes
 // BENCH_parallel.json with wall-clock times and speedups relative to one
 // thread. Hardware metadata (hardware_concurrency) is recorded alongside:
 // on a machine with fewer cores than the sweep's thread counts the upper
@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -23,8 +24,10 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/feature_extractor.h"
 #include "core/retina.h"
 #include "datagen/world.h"
+#include "io/checkpoint.h"
 #include "ml/random_forest.h"
 
 namespace retina::bench {
@@ -107,6 +110,45 @@ double TimeWorldGenerate(uint64_t seed) {
   return world.NumUsers() == 800 ? sw.ElapsedSeconds() : -1.0;
 }
 
+// A world plus its extractor saved the way a scoring bundle stores it.
+struct SavedExtractor {
+  datagen::SyntheticWorld world;
+  io::Checkpoint ckpt;
+};
+
+SavedExtractor MakeSavedExtractor(bool smoke) {
+  datagen::WorldConfig config;
+  config.scale = smoke ? 0.02 : 0.03;
+  config.num_users = smoke ? 400 : 2000;
+  config.history_length = smoke ? 10 : 20;
+  config.news_per_day = 30.0;
+  SavedExtractor out{datagen::SyntheticWorld::Generate(config, 91), {}};
+  core::FeatureConfig fc;
+  fc.history_size = smoke ? 10 : 20;
+  fc.history_tfidf_dim = smoke ? 80 : 200;
+  fc.news_tfidf_dim = smoke ? 80 : 200;
+  fc.tweet_tfidf_dim = smoke ? 80 : 200;
+  fc.doc2vec_dim = smoke ? 16 : 50;
+  fc.doc2vec_epochs = 2;
+  auto fx = core::FeatureExtractor::Build(out.world, fc);
+  if (!fx.ok()) {
+    std::fprintf(stderr, "extractor build failed: %s\n",
+                 fx.status().ToString().c_str());
+    std::exit(1);
+  }
+  fx.ValueOrDie().SaveTo(&out.ckpt, "features/");
+  return out;
+}
+
+// Daemon cold-start shape: Restore re-derives every user's history block
+// and Doc2Vec embedding from the saved state, which dominates its cost.
+double TimeExtractorRestore(const SavedExtractor& saved) {
+  Stopwatch sw;
+  const auto fx =
+      core::FeatureExtractor::Restore(saved.world, saved.ckpt, "features/");
+  return fx.ok() ? sw.ElapsedSeconds() : -1.0;
+}
+
 // Monte-Carlo-flood-shaped workload: per-stream random walks reduced in
 // chunk order, the same structure as SirModel::ScoreCandidates.
 double TimeMonteCarlo(size_t n_sims) {
@@ -164,6 +206,8 @@ int main(int argc, char** argv) {
     y[i] = s > 0.0 ? 1 : 0;
   }
 
+  const SavedExtractor saved = MakeSavedExtractor(smoke);
+
   struct Workload {
     const char* name;
     std::function<double()> run;
@@ -174,6 +218,7 @@ int main(int argc, char** argv) {
        [&] { return TimeRandomForestFit(X, y, n_trees); }},
       {"monte_carlo_floods", [&] { return TimeMonteCarlo(n_sims); }},
       {"world_generate", [] { return TimeWorldGenerate(77); }},
+      {"extractor_restore", [&] { return TimeExtractorRestore(saved); }},
   };
 
   // times[w][t] = median seconds for workload w at kThreadCounts[t].

@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "common/obs.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace retina::core {
@@ -191,6 +192,12 @@ Result<FeatureExtractor> FeatureExtractor::Restore(
   RETINA_RETURN_NOT_OK(
       fx.tweet_tfidf_.LoadFrom(ckpt, prefix + "tweet_tfidf/"));
   RETINA_RETURN_NOT_OK(fx.doc2vec_.LoadFrom(ckpt, prefix + "doc2vec/"));
+  // News windows and alignment features write model-width rows into
+  // config-width buffers; the two widths must agree.
+  if (fx.doc2vec_.Dim() != fx.config_.doc2vec_dim) {
+    return Status::InvalidArgument(
+        "checkpoint doc2vec_dim does not match the saved Doc2Vec model");
+  }
 
   // The Doc2Vec corpus was tweets then headlines; the doc-vector table must
   // cover both or TweetEmbedding/news windows would index out of range.
@@ -246,9 +253,10 @@ void FeatureExtractor::SetHistorySize(size_t history_size) {
 }
 
 size_t FeatureExtractor::HistoryBlockDim() const {
-  // tf-idf + hate ratio + lexicon + 2 RT ratios + followers + age + #topics
-  return config_.history_tfidf_dim + 1 + world_->lexicon().size() + 2 + 1 +
-         1 + 1;
+  // tf-idf + hate ratio + lexicon + 2 RT ratios + followers + age + #topics.
+  // The tf-idf part is the fitted vocabulary, which is smaller than
+  // config_.history_tfidf_dim when few tokens reach min_df.
+  return history_tfidf_.Dim() + 1 + world_->lexicon().size() + 2 + 1 + 1 + 1;
 }
 
 Vec FeatureExtractor::ComputeHistoryBlock(
@@ -313,22 +321,28 @@ Vec FeatureExtractor::ComputeHistoryBlock(
 
 void FeatureExtractor::RebuildUserCaches() {
   const size_t n_users = world_->NumUsers();
-  history_blocks_.assign(n_users, Vec());
-  user_embeddings_.assign(n_users, Vec());
+  // Every row is allocated here, on the calling thread; the workers only
+  // copy into them. Rows allocated by workers would land in per-thread
+  // malloc arenas and raise peak RSS (DESIGN.md §5).
+  history_blocks_.assign(n_users, Vec(HistoryBlockDim()));
+  user_embeddings_.assign(n_users, Vec(doc2vec_.Dim()));
 
-  for (NodeId u = 0; u < n_users; ++u) {
+  // Each user is a pure function of the fitted state and its id (both
+  // callees are const and InferVector seeds its own Rng), so the caches
+  // are bit-identical at any thread count.
+  par::ParallelFor(n_users, /*grain=*/1, [&](size_t u) {
     std::vector<std::string> concat;
-    history_blocks_[u] = ComputeHistoryBlock(u, &concat);
+    const Vec block = ComputeHistoryBlock(u, &concat);
+    assert(block.size() == history_blocks_[u].size());
+    std::copy(block.begin(), block.end(), history_blocks_[u].begin());
 
     // Cap the inference document length: the embedding converges long
     // before 150 tokens and inference cost is linear in length.
-    std::vector<std::string> infer_doc = concat;
-    if (infer_doc.size() > 150) {
-      infer_doc.assign(concat.end() - 150, concat.end());
-    }
-    user_embeddings_[u] = doc2vec_.InferVector(infer_doc,
-                                               /*infer_epochs=*/8);
-  }
+    if (concat.size() > 150) concat.erase(concat.begin(), concat.end() - 150);
+    const Vec embedding = doc2vec_.InferVector(concat, /*infer_epochs=*/8);
+    assert(embedding.size() == user_embeddings_[u].size());
+    std::copy(embedding.begin(), embedding.end(), user_embeddings_[u].begin());
+  });
 }
 
 double FeatureExtractor::TopicRelatedness(NodeId user, size_t hashtag) const {

@@ -80,7 +80,8 @@ class FeatureExtractor {
 
   /// Rebuilds an extractor over `world` from the state saved under
   /// `prefix`. Returns InvalidArgument when the checkpoint does not match
-  /// the world (label table sizes, Doc2Vec corpus size).
+  /// the world (label table sizes, Doc2Vec corpus size) or itself (config
+  /// doc2vec_dim vs the saved model's dim).
   static Result<FeatureExtractor> Restore(const datagen::SyntheticWorld& world,
                                           const io::Checkpoint& ckpt,
                                           const std::string& prefix);
@@ -182,12 +183,16 @@ class FeatureExtractor {
   const text::Doc2Vec& doc2vec() const { return doc2vec_; }
 
   /// Re-derives per-user caches with a different history size (Figure 7's
-  /// history ablation). Cheap relative to Build.
+  /// history ablation), on the par pool like Build and Restore. Cheap
+  /// relative to Build.
   void SetHistorySize(size_t history_size);
 
  private:
   FeatureExtractor() = default;
 
+  /// Fills history_blocks_ and user_embeddings_ for every user (Build,
+  /// Restore and SetHistorySize all end here) with one par::ParallelFor
+  /// over users. The caches are bit-identical at any RETINA_NUM_THREADS.
   void RebuildUserCaches();
 
   FeatureConfig config_;

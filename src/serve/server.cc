@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -34,11 +35,14 @@ uint64_t NowNs() {
           .count());
 }
 
-// Signal-to-drain bridge. The handler only flips a flag (the async-signal
-// -safe subset); the accept loop promotes it into RequestShutdown().
-volatile sig_atomic_t g_drain_signal = 0;
+// Signal-to-drain bridge. The handler only flips a flag; the accept loop
+// promotes it into RequestShutdown(). An atomic, not a volatile
+// sig_atomic_t: the handler may run on any thread, and the accept thread
+// reads the flag concurrently. Lock-free atomics are async-signal-safe.
+std::atomic<int> g_drain_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
-void DrainSignalHandler(int /*signum*/) { g_drain_signal = 1; }
+void DrainSignalHandler(int /*signum*/) { g_drain_signal.store(1); }
 
 void InstallDrainSignalHandler() {
   struct sigaction sa;
@@ -234,7 +238,7 @@ Status Server::Start() {
   }
 
   if (options_.install_signal_handler) {
-    g_drain_signal = 0;
+    g_drain_signal.store(0);
     InstallDrainSignalHandler();
   }
   hooks_.queue_capacity->Set(static_cast<int64_t>(queue_.capacity()));
@@ -297,7 +301,7 @@ void Server::AcceptLoop() {
   while (true) {
     // The signal flag is only authoritative for the server that installed
     // the handler — embedded servers (tests) drain via RequestShutdown.
-    if (options_.install_signal_handler && g_drain_signal != 0) {
+    if (options_.install_signal_handler && g_drain_signal.load() != 0) {
       RequestShutdown();
     }
     if (draining()) break;

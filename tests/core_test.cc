@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "core/feature_extractor.h"
@@ -313,6 +314,49 @@ TEST(RetweetTaskTest, EvaluateBinaryPerfectScores) {
   const BinaryEval eval = EvaluateBinary(task.test, perfect);
   EXPECT_DOUBLE_EQ(eval.macro_f1, 1.0);
   EXPECT_DOUBLE_EQ(eval.auc, 1.0);
+}
+
+TEST(FeatureExtractorTest, DimsFollowFittedVocabularyNotConfig) {
+  // A small history corpus has far fewer tokens with df >= 3 than the
+  // configured tf-idf width, so every width must come from the fitted
+  // vocabulary: a task sized from the config would overrun each row.
+  datagen::WorldConfig wc;
+  wc.scale = 0.03;
+  wc.num_users = 400;
+  auto world = datagen::SyntheticWorld::Generate(wc, 5);
+  ASSERT_TRUE(hatedetect::AnnotateWorld(&world, {}).ok());
+  FeatureConfig fc = TestFeatureConfig();
+  fc.history_tfidf_dim = 5000;
+  auto built = FeatureExtractor::Build(world, fc);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const FeatureExtractor fx = std::move(built).ValueOrDie();
+  ASSERT_LT(fx.UserHistoryBlock(0).size(), fc.history_tfidf_dim);
+  for (NodeId u = 0; u < world.NumUsers(); u += 37) {
+    EXPECT_EQ(fx.UserHistoryBlock(u).size(), fx.HistoryBlockDim());
+    EXPECT_EQ(fx.ComputeHistoryBlock(u).size(), fx.HistoryBlockDim());
+  }
+  const auto& tw = world.tweets().front();
+  EXPECT_EQ(fx.RetweetUserFeatures(tw, 0, graph::kUnreachable).size(),
+            fx.RetweetUserDim());
+  EXPECT_EQ(fx.HateGenFeatures(tw.author, tw.hashtag, tw.time).size(),
+            fx.HateGenDim());
+
+  auto task_result = BuildRetweetTask(fx, TestRetweetOptions());
+  ASSERT_TRUE(task_result.ok()) << task_result.status().ToString();
+  const RetweetTask& task = task_result.ValueOrDie();
+  for (const auto& cand : task.train) {
+    ASSERT_EQ(cand.user_features.size(), task.user_dim);
+  }
+  RetinaOptions opts;
+  opts.hidden = 8;
+  opts.epochs = 2;
+  Retina model(task.user_dim, task.content_dim, task.embed_dim,
+               task.NumIntervals(), opts);
+  ASSERT_TRUE(model.Train(task).ok());
+  for (double loss : model.epoch_losses()) EXPECT_TRUE(std::isfinite(loss));
+  for (double score : model.ScoreCandidates(task, task.test)) {
+    EXPECT_TRUE(std::isfinite(score));
+  }
 }
 
 // ---------------------------------------------------------------- RETINA --

@@ -1,11 +1,14 @@
 // Tests for the retina::par execution layer: chunking contract, exception
 // propagation, nested use, RNG stream derivation, and the determinism
-// regression pinning bit-identical training at any thread count.
+// regressions pinning bit-identical training and feature caches at any
+// thread count.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -13,7 +16,10 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/feature_extractor.h"
 #include "core/retina.h"
+#include "datagen/world.h"
+#include "io/checkpoint.h"
 #include "ml/random_forest.h"
 
 namespace retina {
@@ -308,6 +314,76 @@ TEST(DeterminismTest, RandomForestBitIdenticalAcrossThreadCounts) {
   const Vec p1 = fit_and_predict(1);
   const Vec p4 = fit_and_predict(4);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(p1[i], p4[i]) << i;
+}
+
+// ------------------------- Determinism regression: feature extraction --
+
+// Bit patterns of every per-user cache entry the extractor exposes: each
+// history block, then TopicRelatedness against every hashtag (the only
+// reader of the user embeddings).
+std::vector<uint64_t> CacheBits(const core::FeatureExtractor& fx) {
+  const datagen::SyntheticWorld& world = fx.world();
+  std::vector<uint64_t> bits;
+  const auto push = [&bits](double x) {
+    uint64_t b;
+    std::memcpy(&b, &x, sizeof(b));
+    bits.push_back(b);
+  };
+  for (datagen::NodeId u = 0; u < world.NumUsers(); ++u) {
+    for (double x : fx.UserHistoryBlock(u)) push(x);
+    for (size_t h = 0; h < world.hashtags().size(); ++h) {
+      push(fx.TopicRelatedness(u, h));
+    }
+  }
+  return bits;
+}
+
+TEST(DeterminismTest, FeatureExtractorCachesBitIdenticalAcrossThreadCounts) {
+  datagen::WorldConfig wc;
+  wc.scale = 0.03;
+  wc.num_users = 300;
+  wc.history_length = 12;
+  const auto world = datagen::SyntheticWorld::Generate(wc, 9);
+  core::FeatureConfig fc;
+  fc.history_size = 10;
+  fc.history_tfidf_dim = 60;
+  fc.news_tfidf_dim = 40;
+  fc.tweet_tfidf_dim = 40;
+  fc.doc2vec_dim = 12;
+  fc.doc2vec_epochs = 2;
+
+  const auto build = [&](size_t threads) {
+    par::SetNumThreads(threads);
+    auto fx = core::FeatureExtractor::Build(world, fc);
+    EXPECT_TRUE(fx.ok()) << fx.status().ToString();
+    return std::move(fx).ValueOrDie();
+  };
+  core::FeatureExtractor built1 = build(1);
+  core::FeatureExtractor built4 = build(4);
+  const std::vector<uint64_t> reference = CacheBits(built1);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_TRUE(CacheBits(built4) == reference) << "Build at 4 threads";
+
+  io::Checkpoint ckpt;
+  built1.SaveTo(&ckpt, "features/");
+  for (const size_t threads : {1, 4}) {
+    par::SetNumThreads(threads);
+    auto restored = core::FeatureExtractor::Restore(world, ckpt, "features/");
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_TRUE(CacheBits(restored.ValueOrDie()) == reference)
+        << "Restore at " << threads << " threads";
+  }
+
+  par::SetNumThreads(1);
+  built1.SetHistorySize(4);
+  par::SetNumThreads(4);
+  built4.SetHistorySize(4);
+  const std::vector<uint64_t> shortened = CacheBits(built1);
+  EXPECT_TRUE(shortened != reference);
+  EXPECT_TRUE(CacheBits(built4) == shortened) << "SetHistorySize at 4";
+  built4.SetHistorySize(fc.history_size);
+  EXPECT_TRUE(CacheBits(built4) == reference) << "SetHistorySize back";
+  par::SetNumThreads(par::DefaultNumThreads());
 }
 
 }  // namespace

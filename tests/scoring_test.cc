@@ -651,6 +651,21 @@ TEST(ScoringEngineTest, FromCheckpointBitIdenticalAcrossAllModes) {
   }
 }
 
+TEST(ScoringEngineTest, FromCheckpointRejectsDoc2VecDimMismatch) {
+  // A config doc2vec_dim that disagrees with the saved Doc2Vec model would
+  // size news windows and alignment buffers narrower than the model's rows.
+  auto& f = SharedFixture();
+  const auto model = TrainModel(f.task, /*dynamic=*/false);
+  io::Checkpoint ckpt;
+  ASSERT_TRUE(model->Save(&ckpt, "retina/").ok());
+  f.extractor->SaveTo(&ckpt, "features/");
+  ckpt.PutI64("features/config/doc2vec_dim", 13);  // the model is 12 wide
+  auto engine = ScoringEngine::FromCheckpoint(f.world, ckpt, {});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status().ToString();
+}
+
 TEST(ScoringEngineTest, BundleFromDiskBitIdenticalToInProcessModel) {
   // The train-once / serve-many path the CLI uses: SaveScoringBundle to a
   // directory, LoadScoringBundle in a "fresh process", score identically.
