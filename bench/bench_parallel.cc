@@ -25,6 +25,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/feature_extractor.h"
+#include "core/hategen_task.h"
 #include "core/retina.h"
 #include "datagen/world.h"
 #include "io/checkpoint.h"
@@ -110,19 +111,19 @@ double TimeWorldGenerate(uint64_t seed) {
   return world.NumUsers() == 800 ? sw.ElapsedSeconds() : -1.0;
 }
 
-// A world plus its extractor saved the way a scoring bundle stores it.
-struct SavedExtractor {
-  datagen::SyntheticWorld world;
-  io::Checkpoint ckpt;
-};
-
-SavedExtractor MakeSavedExtractor(bool smoke) {
+datagen::SyntheticWorld MakeSmallWorld(bool smoke) {
   datagen::WorldConfig config;
   config.scale = smoke ? 0.02 : 0.03;
   config.num_users = smoke ? 400 : 2000;
   config.history_length = smoke ? 10 : 20;
   config.news_per_day = 30.0;
-  SavedExtractor out{datagen::SyntheticWorld::Generate(config, 91), {}};
+  return datagen::SyntheticWorld::Generate(config, 91);
+}
+
+// An extractor over `world` saved and restored the way a scoring bundle
+// stores it.
+core::FeatureExtractor MakeRestoredExtractor(
+    const datagen::SyntheticWorld& world, bool smoke) {
   core::FeatureConfig fc;
   fc.history_size = smoke ? 10 : 20;
   fc.history_tfidf_dim = smoke ? 80 : 200;
@@ -130,23 +131,29 @@ SavedExtractor MakeSavedExtractor(bool smoke) {
   fc.tweet_tfidf_dim = smoke ? 80 : 200;
   fc.doc2vec_dim = smoke ? 16 : 50;
   fc.doc2vec_epochs = 2;
-  auto fx = core::FeatureExtractor::Build(out.world, fc);
-  if (!fx.ok()) {
+  auto built = core::FeatureExtractor::Build(world, fc);
+  if (!built.ok()) {
     std::fprintf(stderr, "extractor build failed: %s\n",
-                 fx.status().ToString().c_str());
+                 built.status().ToString().c_str());
     std::exit(1);
   }
-  fx.ValueOrDie().SaveTo(&out.ckpt, "features/");
-  return out;
+  io::Checkpoint ckpt;
+  built.ValueOrDie().SaveTo(&ckpt, "features/");
+  auto restored = core::FeatureExtractor::Restore(world, ckpt, "features/");
+  if (!restored.ok()) {
+    std::fprintf(stderr, "extractor restore failed: %s\n",
+                 restored.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(restored).ValueOrDie();
 }
 
-// Daemon cold-start shape: Restore re-derives every user's history block
-// and Doc2Vec embedding from the saved state, which dominates its cost.
-double TimeExtractorRestore(const SavedExtractor& saved) {
+// Hate-generation task build: every row computes its user's history block
+// and infers the user's Doc2Vec embedding, which dominates its cost.
+double TimeHateGenTaskBuild(const core::FeatureExtractor& fx) {
   Stopwatch sw;
-  const auto fx =
-      core::FeatureExtractor::Restore(saved.world, saved.ckpt, "features/");
-  return fx.ok() ? sw.ElapsedSeconds() : -1.0;
+  const auto task = core::BuildHateGenTask(fx, {});
+  return task.ok() ? sw.ElapsedSeconds() : -1.0;
 }
 
 // Monte-Carlo-flood-shaped workload: per-stream random walks reduced in
@@ -206,7 +213,8 @@ int main(int argc, char** argv) {
     y[i] = s > 0.0 ? 1 : 0;
   }
 
-  const SavedExtractor saved = MakeSavedExtractor(smoke);
+  const datagen::SyntheticWorld world = MakeSmallWorld(smoke);
+  const core::FeatureExtractor restored = MakeRestoredExtractor(world, smoke);
 
   struct Workload {
     const char* name;
@@ -218,7 +226,8 @@ int main(int argc, char** argv) {
        [&] { return TimeRandomForestFit(X, y, n_trees); }},
       {"monte_carlo_floods", [&] { return TimeMonteCarlo(n_sims); }},
       {"world_generate", [] { return TimeWorldGenerate(77); }},
-      {"extractor_restore", [&] { return TimeExtractorRestore(saved); }},
+      {"hategen_task_build",
+       [&] { return TimeHateGenTaskBuild(restored); }},
   };
 
   // times[w][t] = median seconds for workload w at kThreadCounts[t].

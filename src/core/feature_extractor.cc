@@ -5,12 +5,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_set>
 
 #include "common/obs.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace retina::core {
@@ -102,8 +99,6 @@ Result<FeatureExtractor> FeatureExtractor::Build(
       labels[i] = label;
     }
   }
-
-  fx.RebuildUserCaches();
   return fx;
 }
 
@@ -239,17 +234,7 @@ Result<FeatureExtractor> FeatureExtractor::Restore(
     return Status::InvalidArgument(
         "checkpoint machine-label bits have trailing entries");
   }
-
-  // Per-user blocks and embeddings are pure functions of the restored
-  // state, so this reproduces Build's caches bit-for-bit.
-  fx.RebuildUserCaches();
   return fx;
-}
-
-void FeatureExtractor::SetHistorySize(size_t history_size) {
-  config_.history_size = history_size;
-  news_tfidf_cache_.clear();
-  RebuildUserCaches();
 }
 
 size_t FeatureExtractor::HistoryBlockDim() const {
@@ -261,8 +246,9 @@ size_t FeatureExtractor::HistoryBlockDim() const {
 
 Vec FeatureExtractor::ComputeHistoryBlock(
     NodeId user, std::vector<std::string>* concat_tokens) const {
-  // Cache-miss cost center of the serving path: every call here is a
-  // history block the ScoringEngine could not serve from its LRU.
+  // Every history block computed anywhere counts here: one per task row
+  // and store entry, and on the serving path one per block the
+  // ScoringEngine could not serve from its LRU or store (its cost center).
   static obs::Counter* computed =
       obs::Registry::Global().GetCounter("features.history_blocks_computed");
   computed->Add(1);
@@ -319,61 +305,24 @@ Vec FeatureExtractor::ComputeHistoryBlock(
   return block;
 }
 
-void FeatureExtractor::RebuildUserCaches() {
-  const size_t n_users = world_->NumUsers();
-  // Every row is allocated here, on the calling thread; the workers only
-  // copy into them. Rows allocated by workers would land in per-thread
-  // malloc arenas and raise peak RSS (DESIGN.md §5).
-  history_blocks_.assign(n_users, Vec(HistoryBlockDim()));
-  user_embeddings_.assign(n_users, Vec(doc2vec_.Dim()));
-
-  // Each user is a pure function of the fitted state and its id (both
-  // callees are const and InferVector seeds its own Rng), so the caches
-  // are bit-identical at any thread count.
-  par::ParallelFor(n_users, /*grain=*/1, [&](size_t u) {
-    std::vector<std::string> concat;
-    const Vec block = ComputeHistoryBlock(u, &concat);
-    assert(block.size() == history_blocks_[u].size());
-    std::copy(block.begin(), block.end(), history_blocks_[u].begin());
-
-    // Cap the inference document length: the embedding converges long
-    // before 150 tokens and inference cost is linear in length.
-    if (concat.size() > 150) concat.erase(concat.begin(), concat.end() - 150);
-    const Vec embedding = doc2vec_.InferVector(concat, /*infer_epochs=*/8);
-    assert(embedding.size() == user_embeddings_[u].size());
-    std::copy(embedding.begin(), embedding.end(), user_embeddings_[u].begin());
-  });
-}
-
-double FeatureExtractor::TopicRelatedness(NodeId user, size_t hashtag) const {
+double FeatureExtractor::TopicRelatedness(const Vec& user_embedding,
+                                          size_t hashtag) const {
   const std::string& tag = world_->hashtags()[hashtag].tag;
   // Hashtags appear lowercased as tokens in tweets.
   std::string token;
   token.reserve(tag.size());
   for (char c : tag) token += static_cast<char>(std::tolower(c));
-  return doc2vec_.TokenSimilarity(user_embeddings_[user], token);
+  return doc2vec_.TokenSimilarity(user_embedding, token);
 }
 
 Vec FeatureExtractor::NewsTfIdfAverage(double t0, size_t window) const {
   if (window == 0) window = config_.news_window;
-  const long bucket =
-      static_cast<long>(t0) * 1000 + static_cast<long>(window);
-  {
-    std::shared_lock<std::shared_mutex> lock(news_tfidf_mu_.get());
-    auto it = news_tfidf_cache_.find(bucket);
-    if (it != news_tfidf_cache_.end()) return it->second;
-  }
   const auto idx = world_->news().MostRecentBefore(t0, window);
   std::vector<std::vector<std::string>> docs;
   docs.reserve(idx.size());
   for (size_t j : idx) docs.push_back(world_->news().articles()[j].tokens);
-  Vec avg = docs.empty() ? Vec(news_tfidf_.Dim(), 0.0)
-                         : news_tfidf_.TransformAverage(docs);
-  // Racing computers produce identical values (pure function of the key),
-  // so losing the emplace race is harmless.
-  std::unique_lock<std::shared_mutex> lock(news_tfidf_mu_.get());
-  news_tfidf_cache_.emplace(bucket, avg);
-  return avg;
+  return docs.empty() ? Vec(news_tfidf_.Dim(), 0.0)
+                      : news_tfidf_.TransformAverage(docs);
 }
 
 Vec FeatureExtractor::NewsAlignmentFeatures(const datagen::Tweet& tweet,
@@ -436,11 +385,20 @@ Vec FeatureExtractor::HateGenFeatures(NodeId user, size_t hashtag, double t0,
                                       const FeatureMask& mask) const {
   Vec out;
   out.reserve(HateGenDim(mask));
-  if (mask.history) {
-    const Vec& block = history_blocks_[user];
-    out.insert(out.end(), block.begin(), block.end());
+  if (mask.history || mask.topic) {
+    std::vector<std::string> concat;
+    const Vec block = ComputeHistoryBlock(user, &concat);
+    if (mask.history) out.insert(out.end(), block.begin(), block.end());
+    if (mask.topic) {
+      // Cap the inference document length: the embedding converges long
+      // before 150 tokens and inference cost is linear in length.
+      if (concat.size() > 150) {
+        concat.erase(concat.begin(), concat.end() - 150);
+      }
+      out.push_back(TopicRelatedness(
+          doc2vec_.InferVector(concat, /*infer_epochs=*/8), hashtag));
+    }
   }
-  if (mask.topic) out.push_back(TopicRelatedness(user, hashtag));
   if (mask.endogenous) {
     const Vec trending = world_->TrendingIndicator(t0, config_.trending_dim);
     out.insert(out.end(), trending.begin(), trending.end());
@@ -456,35 +414,6 @@ size_t FeatureExtractor::RetweetUserDim() const {
   return HistoryBlockDim() + config_.trending_dim + 2;
 }
 
-Vec FeatureExtractor::RetweetUserFeatures(const datagen::Tweet& tweet,
-                                          NodeId user,
-                                          int path_length) const {
-  Vec out;
-  out.reserve(RetweetUserDim());
-  const Vec& block = history_blocks_[user];
-  out.insert(out.end(), block.begin(), block.end());
-  const Vec trending =
-      world_->TrendingIndicator(tweet.time, config_.trending_dim);
-  out.insert(out.end(), trending.begin(), trending.end());
-  // Peer signals: shortest path root author -> user (kPeerPathCutoff+1 when
-  // not organically reachable), and past retweets of this author.
-  out.push_back(path_length == graph::kUnreachable
-                    ? static_cast<double>(kPeerPathCutoff + 1)
-                    : static_cast<double>(path_length));
-  out.push_back(std::log(1.0 + static_cast<double>(world_->PastRetweetCount(
-                                   tweet.author, user, tweet.time))));
-  return out;
-}
-
-Vec FeatureExtractor::AssembleRetweetUserFeatures(
-    const datagen::Tweet& tweet, NodeId user, const SparseVec& history_block,
-    const Vec& trending, int path_length) const {
-  Vec out(RetweetUserDim());
-  AssembleRetweetUserFeaturesInto(tweet, user, history_block, trending,
-                                  path_length, out.data());
-  return out;
-}
-
 void FeatureExtractor::AssembleRetweetUserFeaturesInto(
     const datagen::Tweet& tweet, NodeId user, const SparseVec& history_block,
     const Vec& trending, int path_length, double* out) const {
@@ -493,6 +422,8 @@ void FeatureExtractor::AssembleRetweetUserFeaturesInto(
   std::fill(out, out + HistoryBlockDim(), 0.0);
   history_block.ScatterInto(out);
   std::copy(trending.begin(), trending.end(), out + HistoryBlockDim());
+  // Peer signals: shortest path root author -> user (kPeerPathCutoff+1 when
+  // not organically reachable), and past retweets of this author.
   const size_t tail = HistoryBlockDim() + config_.trending_dim;
   out[tail] = path_length == graph::kUnreachable
                   ? static_cast<double>(kPeerPathCutoff + 1)

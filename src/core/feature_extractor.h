@@ -2,10 +2,12 @@
 //
 // One FeatureExtractor is built per world: it fits the tf-idf vectorizers
 // (user-history, news, root-tweet), trains the shared Doc2Vec embedding on
-// tweets+headlines, and caches per-user history blocks. The extractor then
-// serves:
+// tweets+headlines, and keeps only that fitted state. Per-user features are
+// computed where they are read, from the fitted state and the user id. The
+// extractor then serves:
 //   - hate-generation feature vectors f_1(S_en, S_ex, H_it, T)  (Eq. 1)
-//   - retweet-prediction user vectors including peer signals     (Eq. 2)
+//   - retweet-prediction user vectors including peer signals     (Eq. 2),
+//     assembled by one path for the task builder and the scoring engine
 //   - attention inputs: tweet Doc2Vec query + news Doc2Vec windows.
 //
 // History labels seen by the features are the *machine-annotated* view
@@ -15,10 +17,7 @@
 #ifndef RETINA_CORE_FEATURE_EXTRACTOR_H_
 #define RETINA_CORE_FEATURE_EXTRACTOR_H_
 
-#include <memory>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sparse_vec.h"
@@ -67,15 +66,15 @@ struct FeatureConfig {
 /// \brief Fitted feature pipeline over one SyntheticWorld.
 class FeatureExtractor {
  public:
-  /// Fits vectorizers and Doc2Vec; caches per-user blocks.
+  /// Fits vectorizers and Doc2Vec and draws the machine-label noise; does
+  /// no per-user feature work.
   static Result<FeatureExtractor> Build(const datagen::SyntheticWorld& world,
                                         const FeatureConfig& config);
 
   /// Writes the fitted state under `prefix`: config, the three tf-idf
   /// vectorizers, the Doc2Vec model, and the machine-annotated history
-  /// labels. Per-user caches and news embeddings are NOT written — they
-  /// are pure functions of this state plus the world, and Restore
-  /// re-derives them bit-identically.
+  /// labels. News embeddings are NOT written — they are rows of the
+  /// Doc2Vec table, and Restore re-derives them bit-identically.
   void SaveTo(io::Checkpoint* ckpt, const std::string& prefix) const;
 
   /// Rebuilds an extractor over `world` from the state saved under
@@ -99,42 +98,31 @@ class FeatureExtractor {
 
   // ---- Section V-A: retweet prediction ---------------------------------
 
-  /// User-side feature vector X^{u_j} for candidate `user` on root tweet
-  /// `tweet`: history block + endogenous + peer signals (shortest path
-  /// from the root author, past retweets of the author by this user).
-  /// `path_length` is the BFS distance author->user (graph::kUnreachable
-  /// if none); the task builder computes one BFS per tweet and shares it
-  /// across candidates.
-  Vec RetweetUserFeatures(const datagen::Tweet& tweet, NodeId user,
-                          int path_length) const;
   size_t RetweetUserDim() const;
 
-  /// Assembles X^{u_j} from a caller-supplied (typically cache-served)
-  /// history block plus a trending vector shared across the tweet's whole
-  /// candidate list. Layout and values are identical to
-  /// RetweetUserFeatures; only the redundant per-candidate recomputation
-  /// of the invariants is skipped. `trending` must be
-  /// TrendingIndicator(tweet.time, config.trending_dim).
-  Vec AssembleRetweetUserFeatures(const datagen::Tweet& tweet, NodeId user,
-                                  const SparseVec& history_block,
-                                  const Vec& trending,
-                                  int path_length) const;
-
-  /// AssembleRetweetUserFeatures into a caller-owned row of
-  /// RetweetUserDim() entries (need not be zeroed) — the serving engine
-  /// assembles candidate rows directly into its scratch arena with this.
+  /// Assembles the user-side feature vector X^{u_j} for candidate `user`
+  /// on root tweet `tweet` into a caller-owned row of RetweetUserDim()
+  /// entries (need not be zeroed): history block + endogenous + peer
+  /// signals (shortest path from the root author, past retweets of the
+  /// author by this user). `history_block` is
+  /// SparseVec::FromDense(ComputeHistoryBlock(user)) or a cached copy of
+  /// it; `trending` is TrendingIndicator(tweet.time, config.trending_dim)
+  /// and `path_length` the BFS distance author->user
+  /// (graph::kUnreachable if none), both shared across the tweet's
+  /// candidates. This is the one user-row assembler: BuildRetweetTask
+  /// fills training and eval rows with it, and the serving engine
+  /// assembles candidate rows into its scratch arena with it.
   void AssembleRetweetUserFeaturesInto(const datagen::Tweet& tweet,
                                        NodeId user,
                                        const SparseVec& history_block,
                                        const Vec& trending, int path_length,
                                        double* out) const;
 
-  /// Recomputes user's history block from scratch — the uncached path
-  /// behind ScoringEngine's per-user LRU (at serving scale the per-user
-  /// invariants cannot all be precomputed). Equal to UserHistoryBlock for
-  /// any user. When `concat_tokens` is non-null it receives the
-  /// concatenated recent-history document (Build reuses it for the user
-  /// Doc2Vec embedding).
+  /// Computes user's history block from the fitted state. Every reader
+  /// computes it here: the task builders per row, and ScoringEngine
+  /// behind its per-user LRU and store tiers. When `concat_tokens` is
+  /// non-null it receives the concatenated recent-history document
+  /// (HateGenFeatures infers the user's Doc2Vec embedding from it).
   Vec ComputeHistoryBlock(NodeId user,
                           std::vector<std::string>* concat_tokens =
                               nullptr) const;
@@ -169,31 +157,24 @@ class FeatureExtractor {
                             size_t window = 0) const;
   static constexpr size_t kNewsAlignmentDim = 3;
 
-  /// Per-user history block (cached; shared by both tasks).
-  const Vec& UserHistoryBlock(NodeId user) const {
-    return history_blocks_[user];
-  }
   size_t HistoryBlockDim() const;
-
-  /// Doc2Vec topical relatedness of user to hashtag (Section IV-B).
-  double TopicRelatedness(NodeId user, size_t hashtag) const;
 
   const FeatureConfig& config() const { return config_; }
   const datagen::SyntheticWorld& world() const { return *world_; }
   const text::Doc2Vec& doc2vec() const { return doc2vec_; }
 
-  /// Re-derives per-user caches with a different history size (Figure 7's
-  /// history ablation), on the par pool like Build and Restore. Cheap
-  /// relative to Build.
-  void SetHistorySize(size_t history_size);
+  /// Sets the number of recent history tweets every later history block
+  /// reads (Figure 7's history ablation).
+  void SetHistorySize(size_t history_size) {
+    config_.history_size = history_size;
+  }
 
  private:
   FeatureExtractor() = default;
 
-  /// Fills history_blocks_ and user_embeddings_ for every user (Build,
-  /// Restore and SetHistorySize all end here) with one par::ParallelFor
-  /// over users. The caches are bit-identical at any RETINA_NUM_THREADS.
-  void RebuildUserCaches();
+  /// Doc2Vec topical relatedness (Section IV-B) of a user, given the
+  /// embedding of their recent history, to `hashtag`.
+  double TopicRelatedness(const Vec& user_embedding, size_t hashtag) const;
 
   FeatureConfig config_;
   const datagen::SyntheticWorld* world_ = nullptr;
@@ -206,34 +187,7 @@ class FeatureExtractor {
   /// Noisy (machine-annotated) view of history hate labels, per user.
   std::vector<std::vector<bool>> history_machine_labels_;
 
-  std::vector<Vec> history_blocks_;     // per user
-  std::vector<Vec> user_embeddings_;    // per user: Doc2Vec of recent history
-  std::vector<Vec> news_embeddings_;    // per article
-
-  /// std::shared_mutex with move semantics: a move constructs a fresh
-  /// unlocked mutex. Safe because the extractor is only moved during
-  /// construction (Result<FeatureExtractor> plumbing), never while other
-  /// threads hold a lock.
-  class MovableSharedMutex {
-   public:
-    MovableSharedMutex() = default;
-    MovableSharedMutex(MovableSharedMutex&&) noexcept {}
-    MovableSharedMutex& operator=(MovableSharedMutex&&) noexcept {
-      return *this;
-    }
-    std::shared_mutex& get() const { return mu_; }
-
-   private:
-    mutable std::shared_mutex mu_;
-  };
-
-  /// Memoized per-(hour bucket, window) news tf-idf averages. The values
-  /// are pure functions of the key, so the lock only protects the map
-  /// structure, not determinism: the read-mostly steady state (every
-  /// bucket computed once, then looked up by every candidate) takes the
-  /// shared lock and scales across scoring threads.
-  mutable MovableSharedMutex news_tfidf_mu_;
-  mutable std::unordered_map<long, Vec> news_tfidf_cache_;  // hour bucket
+  std::vector<Vec> news_embeddings_;  // per article
 };
 
 }  // namespace retina::core

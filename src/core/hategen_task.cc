@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/parallel.h"
 #include "ml/adaboost.h"
 #include "ml/decision_tree.h"
 #include "ml/gradient_boosting.h"
@@ -47,7 +48,10 @@ Result<HateGenTask> BuildHateGenTask(const FeatureExtractor& extractor,
   task.test.X = Matrix(n_test, task.dim);
   task.test.y.resize(n_test);
 
-  for (size_t k = 0; k < eligible.size(); ++k) {
+  // Each row is a pure function of the fitted extractor and its tweet, and
+  // owns its matrix row and label slot, so the rows are bit-identical at
+  // any thread count.
+  par::ParallelFor(eligible.size(), /*grain=*/1, [&](size_t k) {
     const datagen::Tweet& tw = tweets[eligible[k]];
     const Vec x =
         extractor.HateGenFeatures(tw.author, tw.hashtag, tw.time, mask);
@@ -58,7 +62,7 @@ Result<HateGenTask> BuildHateGenTask(const FeatureExtractor& extractor,
       task.train.X.SetRow(k - n_test, x);
       task.train.y[k - n_test] = tw.machine_hateful ? 1 : 0;  // machine
     }
-  }
+  });
   return task;
 }
 

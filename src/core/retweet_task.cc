@@ -63,6 +63,8 @@ Result<RetweetTask> BuildRetweetTask(const FeatureExtractor& extractor,
   // exactly the order the fully serial builder did, so the emitted task is
   // bit-identical; the expensive deterministic work (content features,
   // BFS, per-candidate user features) is deferred to the parallel pass.
+  // Every candidate row is sized here, on the calling thread (DESIGN.md
+  // §5); the parallel pass only fills them.
   std::vector<TweetWork> work(eligible.size());
   for (size_t k = 0; k < eligible.size(); ++k) {
     const size_t ti = eligible[k];
@@ -94,6 +96,7 @@ Result<RetweetTask> BuildRetweetTask(const FeatureExtractor& extractor,
       cand.user = rt.user;
       cand.label = 1;
       cand.interval_labels.assign(n_intervals, 0);
+      cand.user_features.resize(task.user_dim);
       const double dt = rt.time - tw.time;
       size_t interval = n_intervals - 1;
       for (size_t j = 0; j + 1 < task.interval_edges.size(); ++j) {
@@ -130,6 +133,7 @@ Result<RetweetTask> BuildRetweetTask(const FeatureExtractor& extractor,
       cand.user = v;
       cand.label = 0;
       cand.interval_labels.assign(n_intervals, 0);
+      cand.user_features.resize(task.user_dim);
       bucket.push_back(std::move(cand));
       ++added;
     }
@@ -138,7 +142,8 @@ Result<RetweetTask> BuildRetweetTask(const FeatureExtractor& extractor,
 
   // Pass 2 (parallel): deterministic feature extraction. Each tweet owns
   // its TweetContext and disjoint candidate slices, so no locking and no
-  // dependence on the thread count.
+  // dependence on the thread count. Candidate rows are built the way the
+  // scoring engine's compute tier builds them, through the one assembler.
   par::ParallelFor(work.size(), 1, [&](size_t k) {
     const TweetWork& tw_work = work[k];
     const datagen::Tweet& tw = tweets[tw_work.tweet_index];
@@ -146,20 +151,24 @@ Result<RetweetTask> BuildRetweetTask(const FeatureExtractor& extractor,
     ctx.content = extractor.TweetContentFeatures(tw);
     ctx.embedding = extractor.TweetEmbedding(tw);
     ctx.news_window = extractor.NewsEmbeddingWindow(tw.time);
-    ctx.news_tfidf = extractor.NewsTfIdfAverage(tw.time);
 
-    // One BFS from the author, shared across candidates.
+    // One BFS from the author and one trending vector, shared across
+    // candidates.
     const std::vector<int> dist =
         world.network().BfsDistances(tw.author, kPeerPathCutoff);
+    const Vec trending =
+        world.TrendingIndicator(tw.time, extractor.config().trending_dim);
+    const auto assemble = [&](RetweetCandidate& cand) {
+      extractor.AssembleRetweetUserFeaturesInto(
+          tw, cand.user,
+          SparseVec::FromDense(extractor.ComputeHistoryBlock(cand.user)),
+          trending, dist[cand.user], cand.user_features.data());
+    };
     for (size_t i = tw_work.train_begin; i < tw_work.train_end; ++i) {
-      RetweetCandidate& cand = task.train[i];
-      cand.user_features =
-          extractor.RetweetUserFeatures(tw, cand.user, dist[cand.user]);
+      assemble(task.train[i]);
     }
     for (size_t i = tw_work.test_begin; i < tw_work.test_end; ++i) {
-      RetweetCandidate& cand = task.test[i];
-      cand.user_features =
-          extractor.RetweetUserFeatures(tw, cand.user, dist[cand.user]);
+      assemble(task.test[i]);
     }
   });
   if (task.train.empty() || task.test.empty()) {

@@ -47,7 +47,6 @@ struct TweetContext {
   Vec content;         ///< tf-idf + lexicon features of the root tweet
   Vec embedding;       ///< Doc2Vec X^T (attention Query input)
   Matrix news_window;  ///< Doc2Vec X^N rows (attention Key/Value input)
-  Vec news_tfidf;      ///< averaged news tf-idf (feature-engineered models)
 };
 
 /// One (tweet, candidate user) sample.

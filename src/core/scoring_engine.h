@@ -94,8 +94,8 @@ class ScoringEngine {
   /// request) into a caller-owned (and ideally reused) vector — `scores`
   /// is resized to users.size(). Entry i equals the per-candidate
   /// Retina::PredictScore(ctx, X^{u_i}) with features built from the raw
-  /// world — the engine never reads the extractor's precomputed per-user
-  /// arrays, so the uncached modes reflect a stateless server honestly.
+  /// world (the extractor holds no per-user arrays), so the uncached
+  /// modes reflect a stateless server honestly.
   /// Candidate feature rows live in the thread's scratch arena and the
   /// batched forward runs through Retina::ScoreBatchRows, so once the
   /// arena and caches are warm a batched static-head request performs

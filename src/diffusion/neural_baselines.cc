@@ -57,7 +57,7 @@ double NeuralDiffusionBaseline::StructScore(
     const core::RetweetCandidate& cand) const {
   if (kind_ == NeuralBaselineKind::kHidan) return 0.0;
   // The path feature is the penultimate entry of the user feature vector
-  // (see FeatureExtractor::RetweetUserFeatures).
+  // (see FeatureExtractor::AssembleRetweetUserFeaturesInto).
   const double path = cand.user_features[task.user_dim - 2];
   return 1.0 / (1.0 + path);
 }

@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
+#include "common/parallel.h"
 #include "core/feature_extractor.h"
 #include "core/hategen_task.h"
 #include "core/retina.h"
 #include "core/retweet_task.h"
 #include "hatedetect/annotation.h"
+#include "io/checkpoint.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 
@@ -59,6 +63,42 @@ Fixture& SharedFixture() {
   return *fixture;
 }
 
+// A new extractor over the fixture world, restored from the shared one's
+// fitted state, so no earlier call on the shared extractor can reach it.
+FeatureExtractor FreshExtractor() {
+  auto& f = SharedFixture();
+  io::Checkpoint ckpt;
+  f.extractor->SaveTo(&ckpt, "features/");
+  auto fx = FeatureExtractor::Restore(f.world, ckpt, "features/");
+  EXPECT_TRUE(fx.ok()) << fx.status().ToString();
+  return std::move(fx).ValueOrDie();
+}
+
+// User-side row for `user` on `tweet`, built the way the task builder and
+// the scoring engine build it.
+Vec AssembledUserRow(const FeatureExtractor& fx, const datagen::Tweet& tweet,
+                     NodeId user, int path_length) {
+  Vec row(fx.RetweetUserDim());
+  fx.AssembleRetweetUserFeaturesInto(
+      tweet, user, SparseVec::FromDense(fx.ComputeHistoryBlock(user)),
+      fx.world().TrendingIndicator(tweet.time, fx.config().trending_dim),
+      path_length, row.data());
+  return row;
+}
+
+RetweetTaskOptions TestRetweetOptions() {
+  RetweetTaskOptions opts;
+  opts.min_news = 20;
+  opts.max_candidates = 24;
+  return opts;
+}
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
 // --------------------------------------------------------------- Features --
 
 TEST(FeatureMaskTest, WithoutDisablesExactlyOneGroup) {
@@ -103,7 +143,7 @@ TEST(FeatureExtractorTest, HistoryBlockEncodesHatefulness) {
   double prone = 0.0, ordinary = 0.0;
   size_t n_prone = 0, n_ord = 0;
   for (NodeId u = 0; u < f.world.NumUsers(); ++u) {
-    const double r = f.extractor->UserHistoryBlock(u)[ratio_idx];
+    const double r = f.extractor->ComputeHistoryBlock(u)[ratio_idx];
     if (f.world.users()[u].echo_community >= 0) {
       prone += r;
       ++n_prone;
@@ -127,12 +167,32 @@ TEST(FeatureExtractorTest, NewsWindowShape) {
   EXPECT_LT(early.rows(), 20u);
 }
 
-TEST(FeatureExtractorTest, NewsTfIdfCachedAndStable) {
+TEST(FeatureExtractorTest, NewsTfIdfAverageIsAPureFunctionOfTime) {
+  // t1 and t2 share an hour but not a news average: articles land between
+  // them. An average memoized per hour would hand t2 the average of
+  // whichever same-hour time came first. The search calls each extractor
+  // once per hour, so a per-hour memo cannot shape what it finds.
   auto& f = SharedFixture();
-  const Vec a = f.extractor->NewsTfIdfAverage(500.0);
-  const Vec b = f.extractor->NewsTfIdfAverage(500.0);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 80u);
+  const FeatureExtractor t1_source = FreshExtractor();
+  const FeatureExtractor fresh = FreshExtractor();
+  double t1 = -1.0, t2 = -1.0;
+  Vec first, want;
+  for (const auto& article : f.world.news().articles()) {
+    const double hour = std::floor(article.time);
+    if (article.time < 400.0 || article.time == hour || hour == t1) continue;
+    t1 = hour;
+    t2 = (article.time + hour + 1.0) / 2.0;
+    first = t1_source.NewsTfIdfAverage(t1);
+    want = fresh.NewsTfIdfAverage(t2);
+    if (first != want) break;
+  }
+  ASSERT_NE(first, want) << "no hour with two distinct news averages";
+  ASSERT_EQ(static_cast<long>(t1), static_cast<long>(t2));
+  ASSERT_EQ(want.size(), 80u);
+
+  const FeatureExtractor warm = FreshExtractor();
+  EXPECT_EQ(warm.NewsTfIdfAverage(t1), first);
+  EXPECT_EQ(warm.NewsTfIdfAverage(t2), want);
 }
 
 TEST(FeatureExtractorTest, RetweetUserFeaturesPeerSignals) {
@@ -142,26 +202,27 @@ TEST(FeatureExtractorTest, RetweetUserFeaturesPeerSignals) {
   // Direct follower: path length 1 encoded at dim-2.
   const auto followers = f.world.network().Followers(tw.author);
   if (!followers.empty()) {
-    const Vec x = f.extractor->RetweetUserFeatures(tw, followers[0], 1);
-    EXPECT_EQ(x.size(), dim);
+    const Vec x = AssembledUserRow(*f.extractor, tw, followers[0], 1);
     EXPECT_DOUBLE_EQ(x[dim - 2], 1.0);
   }
   // Unreachable: encoded as cutoff + 1.
-  const Vec y =
-      f.extractor->RetweetUserFeatures(tw, 0, graph::kUnreachable);
+  const Vec y = AssembledUserRow(*f.extractor, tw, 0, graph::kUnreachable);
   EXPECT_DOUBLE_EQ(y[dim - 2],
                    static_cast<double>(kPeerPathCutoff + 1));
+  // The row leads with the user's history block.
+  const Vec block = f.extractor->ComputeHistoryBlock(0);
+  EXPECT_TRUE(std::equal(block.begin(), block.end(), y.begin()));
 }
 
-TEST(FeatureExtractorTest, SetHistorySizeRebuilds) {
-  // Use a private extractor: this mutates cached blocks.
+TEST(FeatureExtractorTest, SetHistorySizeChangesHistoryBlocks) {
+  // Use a private extractor: this changes its config.
   auto world = datagen::SyntheticWorld::Generate(TestConfig(), 57);
   auto fx = FeatureExtractor::Build(world, TestFeatureConfig());
   ASSERT_TRUE(fx.ok());
   FeatureExtractor extractor = std::move(fx).ValueOrDie();
-  const Vec before = extractor.UserHistoryBlock(3);
+  const Vec before = extractor.ComputeHistoryBlock(3);
   extractor.SetHistorySize(4);
-  const Vec after = extractor.UserHistoryBlock(3);
+  const Vec after = extractor.ComputeHistoryBlock(3);
   EXPECT_EQ(before.size(), after.size());
   EXPECT_NE(before, after);
 }
@@ -242,19 +303,30 @@ TEST(HateGenTaskTest, DownsampledTreeBeatsChance) {
   EXPECT_GT(result.ValueOrDie().auc, 0.55);
 }
 
+TEST(HateGenTaskTest, RowsDoNotDependOnEarlierCallsOnTheExtractor) {
+  // A 4-thread retweet-task build reads the same extractor first; the
+  // hate-gen matrices must equal those of an extractor nothing has read.
+  HateGenTaskOptions opts;
+  opts.min_news = 20;
+  const FeatureExtractor fresh = FreshExtractor();
+  auto want = BuildHateGenTask(fresh, opts);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const FeatureExtractor used = FreshExtractor();
+  par::SetNumThreads(4);
+  ASSERT_TRUE(BuildRetweetTask(used, TestRetweetOptions()).ok());
+  auto got = BuildHateGenTask(used, opts);
+  par::SetNumThreads(par::DefaultNumThreads());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(BitEqual(got.ValueOrDie().train.X, want.ValueOrDie().train.X));
+  EXPECT_TRUE(BitEqual(got.ValueOrDie().test.X, want.ValueOrDie().test.X));
+}
+
 TEST(HateGenTaskTest, ModelZooHasSixEntries) {
   const auto zoo = MakeHateGenModelZoo();
   EXPECT_EQ(zoo.size(), 6u);
 }
 
 // ------------------------------------------------------------ RetweetTask --
-
-RetweetTaskOptions TestRetweetOptions() {
-  RetweetTaskOptions opts;
-  opts.min_news = 20;
-  opts.max_candidates = 24;
-  return opts;
-}
 
 TEST(RetweetTaskTest, BuildsConsistentCandidates) {
   auto& f = SharedFixture();
@@ -330,14 +402,11 @@ TEST(FeatureExtractorTest, DimsFollowFittedVocabularyNotConfig) {
   auto built = FeatureExtractor::Build(world, fc);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const FeatureExtractor fx = std::move(built).ValueOrDie();
-  ASSERT_LT(fx.UserHistoryBlock(0).size(), fc.history_tfidf_dim);
+  ASSERT_LT(fx.ComputeHistoryBlock(0).size(), fc.history_tfidf_dim);
   for (NodeId u = 0; u < world.NumUsers(); u += 37) {
-    EXPECT_EQ(fx.UserHistoryBlock(u).size(), fx.HistoryBlockDim());
     EXPECT_EQ(fx.ComputeHistoryBlock(u).size(), fx.HistoryBlockDim());
   }
   const auto& tw = world.tweets().front();
-  EXPECT_EQ(fx.RetweetUserFeatures(tw, 0, graph::kUnreachable).size(),
-            fx.RetweetUserDim());
   EXPECT_EQ(fx.HateGenFeatures(tw.author, tw.hashtag, tw.time).size(),
             fx.HateGenDim());
 

@@ -1,6 +1,6 @@
 // Tests for the retina::par execution layer: chunking contract, exception
 // propagation, nested use, RNG stream derivation, and the determinism
-// regressions pinning bit-identical training and feature caches at any
+// regressions pinning bit-identical training and task features at any
 // thread count.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,9 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/feature_extractor.h"
+#include "core/hategen_task.h"
 #include "core/retina.h"
+#include "core/retweet_task.h"
 #include "datagen/world.h"
 #include "io/checkpoint.h"
 #include "ml/random_forest.h"
@@ -318,27 +320,42 @@ TEST(DeterminismTest, RandomForestBitIdenticalAcrossThreadCounts) {
 
 // ------------------------- Determinism regression: feature extraction --
 
-// Bit patterns of every per-user cache entry the extractor exposes: each
-// history block, then TopicRelatedness against every hashtag (the only
-// reader of the user embeddings).
-std::vector<uint64_t> CacheBits(const core::FeatureExtractor& fx) {
-  const datagen::SyntheticWorld& world = fx.world();
+// Bit patterns of every feature row the two task builders read from `fx`,
+// built at `threads` threads: each BuildRetweetTask candidate row (train,
+// then test), then both BuildHateGenTask matrices.
+std::vector<uint64_t> TaskBits(const core::FeatureExtractor& fx,
+                               size_t threads) {
+  par::SetNumThreads(threads);
   std::vector<uint64_t> bits;
-  const auto push = [&bits](double x) {
-    uint64_t b;
-    std::memcpy(&b, &x, sizeof(b));
-    bits.push_back(b);
+  const auto push = [&bits](const double* x, size_t n) {
+    const size_t at = bits.size();
+    bits.resize(at + n);
+    std::memcpy(bits.data() + at, x, n * sizeof(double));
   };
-  for (datagen::NodeId u = 0; u < world.NumUsers(); ++u) {
-    for (double x : fx.UserHistoryBlock(u)) push(x);
-    for (size_t h = 0; h < world.hashtags().size(); ++h) {
-      push(fx.TopicRelatedness(u, h));
+  core::RetweetTaskOptions retweet_opts;
+  retweet_opts.min_news = 20;
+  auto retweet = core::BuildRetweetTask(fx, retweet_opts);
+  EXPECT_TRUE(retweet.ok()) << retweet.status().ToString();
+  if (!retweet.ok()) return bits;
+  for (const auto* bucket :
+       {&retweet.ValueOrDie().train, &retweet.ValueOrDie().test}) {
+    for (const core::RetweetCandidate& cand : *bucket) {
+      push(cand.user_features.data(), cand.user_features.size());
     }
+  }
+  core::HateGenTaskOptions hategen_opts;
+  hategen_opts.min_news = 20;
+  auto hategen = core::BuildHateGenTask(fx, hategen_opts);
+  EXPECT_TRUE(hategen.ok()) << hategen.status().ToString();
+  if (!hategen.ok()) return bits;
+  for (const Matrix* x :
+       {&hategen.ValueOrDie().train.X, &hategen.ValueOrDie().test.X}) {
+    push(x->data().data(), x->data().size());
   }
   return bits;
 }
 
-TEST(DeterminismTest, FeatureExtractorCachesBitIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, TaskFeaturesBitIdenticalAcrossThreadCounts) {
   datagen::WorldConfig wc;
   wc.scale = 0.03;
   wc.num_users = 300;
@@ -360,9 +377,9 @@ TEST(DeterminismTest, FeatureExtractorCachesBitIdenticalAcrossThreadCounts) {
   };
   core::FeatureExtractor built1 = build(1);
   core::FeatureExtractor built4 = build(4);
-  const std::vector<uint64_t> reference = CacheBits(built1);
+  const std::vector<uint64_t> reference = TaskBits(built1, 1);
   ASSERT_FALSE(reference.empty());
-  EXPECT_TRUE(CacheBits(built4) == reference) << "Build at 4 threads";
+  EXPECT_TRUE(TaskBits(built4, 4) == reference) << "Build at 4 threads";
 
   io::Checkpoint ckpt;
   built1.SaveTo(&ckpt, "features/");
@@ -370,19 +387,17 @@ TEST(DeterminismTest, FeatureExtractorCachesBitIdenticalAcrossThreadCounts) {
     par::SetNumThreads(threads);
     auto restored = core::FeatureExtractor::Restore(world, ckpt, "features/");
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_TRUE(CacheBits(restored.ValueOrDie()) == reference)
+    EXPECT_TRUE(TaskBits(restored.ValueOrDie(), threads) == reference)
         << "Restore at " << threads << " threads";
   }
 
-  par::SetNumThreads(1);
   built1.SetHistorySize(4);
-  par::SetNumThreads(4);
   built4.SetHistorySize(4);
-  const std::vector<uint64_t> shortened = CacheBits(built1);
+  const std::vector<uint64_t> shortened = TaskBits(built1, 1);
   EXPECT_TRUE(shortened != reference);
-  EXPECT_TRUE(CacheBits(built4) == shortened) << "SetHistorySize at 4";
+  EXPECT_TRUE(TaskBits(built4, 4) == shortened) << "SetHistorySize at 4";
   built4.SetHistorySize(fc.history_size);
-  EXPECT_TRUE(CacheBits(built4) == reference) << "SetHistorySize back";
+  EXPECT_TRUE(TaskBits(built4, 4) == reference) << "SetHistorySize back";
   par::SetNumThreads(par::DefaultNumThreads());
 }
 

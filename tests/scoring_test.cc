@@ -633,14 +633,19 @@ TEST(ScoringEngineTest, FromCheckpointBitIdenticalAcrossAllModes) {
   ASSERT_TRUE(reloaded.ok());
 
   const Vec reference = model->ScoreCandidates(f.task, f.task.test);
+  const obs::Counter* computed = obs::Registry::Global().GetCounter(
+      "features.history_blocks_computed");
   for (const bool batched : {false, true}) {
     for (const bool cached : {false, true}) {
       ScoringEngineOptions opts;
       opts.batched = batched;
       opts.cache_features = cached;
+      const uint64_t computed_before = computed->Get();
       auto engine =
           ScoringEngine::FromCheckpoint(f.world, reloaded.ValueOrDie(), opts);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      // Restore keeps fitted state only: startup computes no user features.
+      EXPECT_EQ(computed->Get() - computed_before, 0u);
       const Vec served = ServeTestSplit(engine.ValueOrDie().get(), f.task);
       ASSERT_EQ(served.size(), reference.size());
       for (size_t i = 0; i < reference.size(); ++i) {

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,9 +32,11 @@
 #include "common/trace.h"
 #include "common/vec.h"
 #include "core/feature_extractor.h"
+#include "core/model_store.h"
 #include "core/retina.h"
 #include "core/retweet_task.h"
 #include "core/scoring_engine.h"
+#include "datagen/serialize.h"
 #include "datagen/world.h"
 #include "hatedetect/annotation.h"
 #include "serve/client.h"
@@ -686,6 +689,42 @@ TEST(RequestHandlerTest, ByteIdenticalToDirectEngineAcrossWorkers) {
                          "req " + std::to_string(i) + " worker " +
                              std::to_string(w));
     }
+  }
+}
+
+TEST(RequestHandlerTest, OpenComputesNoUserFeaturesAndMatchesDirectEngine) {
+  // The daemon's startup path: import the world CSV, load the bundle,
+  // build the engines. None of it computes a user's features; the first
+  // request does, and its bytes equal the in-process engine's.
+  auto& f = SharedFixture();
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("retina_serve_open_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string data_dir = (root / "world").string();
+  const std::string model_dir = (root / "model").string();
+  ASSERT_TRUE(datagen::ExportWorldCsv(f.world, data_dir).ok());
+  ASSERT_TRUE(
+      core::SaveScoringBundle(model_dir, *f.model, *f.extractor, {}).ok());
+
+  const obs::Counter* computed = obs::Registry::Global().GetCounter(
+      "features.history_blocks_computed");
+  const uint64_t computed_before = computed->Get();
+  RequestHandlerOptions opts;
+  opts.num_workers = 2;
+  auto opened = RequestHandler::Open(data_dir, model_dir, opts);
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(computed->Get() - computed_before, 0u);
+
+  RequestHandler& handler = *opened.ValueOrDie();
+  for (const ScoreRequest& req : MakeRequests(f, 4, 67)) {
+    ScoreResponse resp;
+    handler.HandleScore(1, req, &resp);
+    ASSERT_EQ(resp.code, ResponseCode::kOk) << resp.message;
+    ExpectBitIdentical(resp.scores, DirectScores(f, req),
+                       "req " + std::to_string(req.request_id));
   }
 }
 
