@@ -32,6 +32,7 @@
 
 #include "bench/bench_common.h"
 #include "common/lru_cache.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/sparse_vec.h"
 #include "common/stopwatch.h"
@@ -195,6 +196,9 @@ int main(int argc, char** argv) {
     auto opened = store::FeatureStore::Open(store_dir);
     if (!opened.ok()) return 1;
     const auto& s = opened.ValueOrDie();
+    // The store counts its lookup outcomes in the obs registry only.
+    obs::Registry& reg = obs::Registry::Global();
+    const obs::RegistrySnapshot before = reg.TakeSnapshot();
     std::vector<double> samples;
     SparseVec out;
     store::LookupOutcome outcome;
@@ -214,8 +218,10 @@ int main(int argc, char** argv) {
                         static_cast<double>(absent_passes * absent.size()));
     }
     absent_ns = Median(samples);
-    bloom_skips = s->stats().bloom_skips;
-    bloom_fps = s->stats().bloom_false_positives;
+    const obs::RegistrySnapshot delta =
+        obs::Registry::SnapshotDelta(before, reg.TakeSnapshot());
+    bloom_skips = delta.counters.at("store.bloom.skips");
+    bloom_fps = delta.counters.at("store.bloom.false_positives");
   }
 
   // The tier the store replaces: full in-process recomputation.

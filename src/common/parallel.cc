@@ -70,7 +70,7 @@ void ParallelForChunks(size_t n, size_t grain,
     // Timeline event per chunk; the worker inherited the submitting
     // thread's trace context from the pool, so the event nests under the
     // span that issued this loop.
-    obs::TraceSpan trace_span("par.chunk");
+    RETINA_OBS_SPAN("par.chunk");
     const auto start = std::chrono::steady_clock::now();
     body(chunk);
     m.chunk_ns->Record(static_cast<uint64_t>(

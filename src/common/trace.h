@@ -116,33 +116,6 @@ uint64_t MintTraceId();
 /// outlive the session (string literals; Registry keys also qualify).
 void TraceInstant(const char* name);
 
-/// \brief RAII begin/end event pair under the current context. Unlike
-/// obs::Span this does not need a registered ScopeStats and is gated only
-/// on TraceEnabled(); use it for events that should appear on the timeline
-/// without a wall-time attribution slot (e.g. per-chunk pool work).
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (!TraceEnabled()) return;
-    name_ = name;
-    id_ = internal::TraceBeginSpan(name, &saved_trace_id_, &saved_span_id_);
-  }
-  ~TraceSpan() {
-    if (id_ != 0) {
-      internal::TraceEndSpan(name_, id_, saved_trace_id_, saved_span_id_);
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  uint64_t id_ = 0;
-  uint64_t saved_trace_id_ = 0;
-  uint64_t saved_span_id_ = 0;
-};
-
 /// \brief Establishes a per-request trace id for the enclosed scope: mints
 /// a fresh id when none is ambient, inherits the existing one otherwise
 /// (so per-tweet requests replayed inside a batch share the batch's id).

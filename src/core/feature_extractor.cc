@@ -444,21 +444,6 @@ Vec FeatureExtractor::TweetContentFeatures(
   return out;
 }
 
-SparseVec FeatureExtractor::TweetContentFeaturesSparse(
-    const datagen::Tweet& tweet) const {
-  const SparseVec tfidf = tweet_tfidf_.TransformSparse(tweet.tokens);
-  const Vec hl = world_->lexicon().FrequencyVector({tweet.tokens});
-  SparseVec out(tfidf.dim() + hl.size());
-  for (size_t k = 0; k < tfidf.nnz(); ++k) {
-    out.PushBack(tfidf.indices()[k], tfidf.values()[k]);
-  }
-  const size_t offset = tfidf.dim();
-  for (size_t i = 0; i < hl.size(); ++i) {
-    if (hl[i] != 0.0) out.PushBack(offset + i, hl[i]);
-  }
-  return out;
-}
-
 Vec FeatureExtractor::TweetEmbedding(const datagen::Tweet& tweet) const {
   // Root tweets are Doc2Vec training docs [0, n_tweets).
   if (tweet.id < doc2vec_.NumDocs() && tweet.id < world_->tweets().size()) {

@@ -130,10 +130,6 @@ class FeatureExtractor {
   /// Root-tweet content features: tweet tf-idf + hate-lexicon vector.
   Vec TweetContentFeatures(const datagen::Tweet& tweet) const;
 
-  /// Sparse view of TweetContentFeatures (tf-idf and lexicon blocks are
-  /// both mostly zeros); ToDense() equals the dense call.
-  SparseVec TweetContentFeaturesSparse(const datagen::Tweet& tweet) const;
-
   size_t TweetContentDim() const;
 
   /// Doc2Vec embedding of the root tweet (attention Query input X^T).

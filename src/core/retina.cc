@@ -46,37 +46,67 @@ std::vector<std::pair<size_t, size_t>> GroupByTweet(
   return groups;
 }
 
+// Dynamic-head score 1 - prod_m(1 - P_m): the probability of retweeting in
+// any of the J intervals.
+double AnyIntervalProbability(const double* probs, size_t J) {
+  double none = 1.0;
+  for (size_t j = 0; j < J; ++j) none *= (1.0 - probs[j]);
+  return 1.0 - none;
+}
+
+// Outermost batched entry over candidates [begin, end): resets `arena`
+// (recording its high-water mark) and returns the candidates' feature-row
+// pointers from it.
+const double* const* CandidateRows(
+    const std::vector<RetweetCandidate>& candidates, size_t begin, size_t end,
+    ScratchArena* arena) {
+  arena->Reset();
+  auto** rows = static_cast<const double**>(arena->Allocate(
+      (end - begin) * sizeof(const double*), alignof(const double*)));
+  for (size_t s = begin; s < end; ++s) {
+    rows[s - begin] = candidates[s].user_features.data();
+  }
+  return rows;
+}
+
 }  // namespace
 
-// Chunk-local copies of the trainable layers. The attention replica is
-// only materialized on the multi-group path; the single-group path shares
-// the master's attention forward and defers its backward to the reducer.
+// Chunk-local copies of the trainable layers below the attention, which
+// every chunk shares: its forward runs once per group and its backward
+// once, in the reducer.
 struct Retina::Replica {
   std::unique_ptr<nn::Dense> ff1, head;
   std::unique_ptr<nn::RecurrentCell> rnn;
-  std::unique_ptr<nn::ExogenousAttention> attention;
-  Vec dexo;          // attention-output gradient (single-group path)
+  Vec dexo;          // attention-output gradient
   double loss = 0.0;
 
   std::vector<nn::Param*> Params() const {
-    return LayerParams(ff1.get(), attention.get(), rnn.get(), head.get());
+    return LayerParams(ff1.get(), rnn.get(), head.get());
   }
 
   // Flat tensor list over a set of live layers, in a fixed order shared
   // by the master and every replica so gradient reduction pairs master
-  // and replica tensors by index. Null layers are skipped on both sides
+  // and replica tensors by index. A null rnn is skipped on both sides
   // identically.
   static std::vector<nn::Param*> LayerParams(nn::Dense* ff1,
-                                             nn::ExogenousAttention* att,
                                              nn::RecurrentCell* rnn,
                                              nn::Dense* head) {
     nn::ParamRegistry registry;
     ff1->RegisterParams(&registry, "ff1");
-    if (att != nullptr) att->RegisterParams(&registry, "attention");
     if (rnn != nullptr) rnn->RegisterParams(&registry, "rnn");
-    if (head != nullptr) head->RegisterParams(&registry, "head");
+    head->RegisterParams(&registry, "head");
     return registry.params();
   }
+};
+
+struct Retina::CandidateForward {
+  Vec x;       // layer-normalized [user_features ; content]
+  Vec h_pre;   // ff1 pre-activation
+  Vec h;       // ReLU(h_pre)
+  Vec concat;  // static: the head input [h ; exo]
+  std::vector<nn::RecCache> caches;  // dynamic: one per interval
+  std::vector<Vec> hidden;           // dynamic: per-interval cell output
+  Vec probs;   // static: {P}; dynamic: P_m per interval
 };
 
 Retina::Retina(size_t user_dim, size_t content_dim, size_t embed_dim,
@@ -121,21 +151,49 @@ Retina::Retina(size_t user_dim, size_t content_dim, size_t embed_dim,
   optimizer_->Register(registry_);
 }
 
-Vec Retina::HiddenForward(const Vec& user_features,
-                          const Vec& content) const {
-  Vec x = Concat(user_features, content);
-  x = nn::LayerNorm(x);
-  return ff1_->Forward(x);  // pre-activation; callers apply ReLU
+size_t Retina::ExoDim() const {
+  return attention_ != nullptr ? attention_->hdim() : 0;
 }
 
-Vec Retina::StepInput(const Vec& hidden, const Vec& exo,
-                      size_t interval) const {
-  Vec in = Concat(hidden, exo);
+void Retina::StepInputInto(const double* h, const double* exo, size_t E,
+                           size_t interval, double* in) const {
+  const size_t H = options_.hidden;
+  std::copy(h, h + H, in);
+  std::copy(exo, exo + E, in + H);
   // Interval encoding: log end-edge + relative position.
-  in.push_back(std::log1p(static_cast<double>(interval + 1)) / 3.0);
-  in.push_back(static_cast<double>(interval + 1) /
-               static_cast<double>(num_intervals_));
-  return in;
+  in[H + E] = std::log1p(static_cast<double>(interval + 1)) / 3.0;
+  in[H + E + 1] = static_cast<double>(interval + 1) /
+                  static_cast<double>(num_intervals_);
+}
+
+void Retina::ForwardCandidate(const nn::Dense& ff1, const nn::Dense& head,
+                              const nn::RecurrentCell* rnn,
+                              const TweetContext& ctx,
+                              const Vec& user_features, const Vec& exo,
+                              CandidateForward* fwd) const {
+  fwd->x = nn::LayerNorm(Concat(user_features, ctx.content));
+  fwd->h_pre = ff1.Forward(fwd->x);
+  fwd->h = nn::Relu(fwd->h_pre);
+  if (!options_.dynamic) {
+    fwd->concat = Concat(fwd->h, exo);
+    fwd->probs = {Sigmoid(head.Forward(fwd->concat)[0])};
+    return;
+  }
+  // Unroll the recurrent cell over intervals. The observable output is
+  // the first H entries of the cell state.
+  const size_t H = options_.hidden;
+  const size_t J = num_intervals_;
+  fwd->caches.assign(J, {});
+  fwd->hidden.assign(J, {});
+  fwd->probs.assign(J, 0.0);
+  Vec in(H + exo.size() + 2);
+  Vec state(rnn->state_dim(), 0.0);
+  for (size_t j = 0; j < J; ++j) {
+    StepInputInto(fwd->h.data(), exo.data(), exo.size(), j, in.data());
+    state = rnn->Forward(in, state, &fwd->caches[j]);
+    fwd->hidden[j].assign(state.begin(), state.begin() + H);
+    fwd->probs[j] = Sigmoid(head.Forward(fwd->hidden[j])[0]);
+  }
 }
 
 double Retina::TrainCandidate(nn::Dense* ff1, nn::Dense* head,
@@ -149,166 +207,104 @@ double Retina::TrainCandidate(nn::Dense* ff1, nn::Dense* head,
   const bool has_exo = !exo.empty();
   double sample_loss = 0.0;
 
-  Vec x = Concat(cand.user_features, ctx.content);
-  x = nn::LayerNorm(x);
-  const Vec h_pre = ff1->Forward(x);
-  const Vec h = nn::Relu(h_pre);
+  CandidateForward fwd;
+  ForwardCandidate(*ff1, *head, rnn, ctx, cand.user_features, exo, &fwd);
 
   Vec dh(H, 0.0);
   if (!options_.dynamic) {
-    const Vec concat = Concat(h, exo);
-    const Vec logit = head->Forward(concat);
-    const double p = Sigmoid(logit[0]);
+    const double p = fwd.probs[0];
     sample_loss = inv_batch * loss.Loss(p, cand.label);
     const double dlogit = inv_batch * loss.GradLogit(p, cand.label);
-    const Vec dconcat = head->Backward(concat, {dlogit});
+    const Vec dconcat = head->Backward(fwd.concat, {dlogit});
     for (size_t k = 0; k < H; ++k) dh[k] += dconcat[k];
     if (has_exo) {
       for (size_t k = 0; k < H; ++k) (*dexo)[k] += dconcat[H + k];
     }
   } else {
-    // Unroll the recurrent cell over intervals. The observable output is
-    // the first H entries of the cell state.
-    const size_t S = rnn->state_dim();
-    std::vector<nn::RecCache> caches(J);
-    std::vector<Vec> hidden_states(J);
     std::vector<double> dlogits(J);
-    Vec state(S, 0.0);
     for (size_t j = 0; j < J; ++j) {
-      const Vec input = StepInput(h, exo, j);
-      state = rnn->Forward(input, state, &caches[j]);
-      hidden_states[j] = Vec(state.begin(), state.begin() + H);
-      const Vec logit = head->Forward(hidden_states[j]);
-      const double p = Sigmoid(logit[0]);
+      const double p = fwd.probs[j];
       sample_loss += inv_batch * loss.Loss(p, cand.interval_labels[j]);
       dlogits[j] = inv_batch * loss.GradLogit(p, cand.interval_labels[j]);
     }
     // BPTT.
-    Vec dstate_carry(S, 0.0);
+    Vec dstate_carry(rnn->state_dim(), 0.0);
     for (size_t j = J; j-- > 0;) {
-      const Vec dh_head = head->Backward(hidden_states[j], {dlogits[j]});
+      const Vec dh_head = head->Backward(fwd.hidden[j], {dlogits[j]});
       Vec dstate = dstate_carry;
       for (size_t k = 0; k < H; ++k) dstate[k] += dh_head[k];
       Vec dx;
-      rnn->Backward(caches[j], dstate, &dx, &dstate_carry);
+      rnn->Backward(fwd.caches[j], dstate, &dx, &dstate_carry);
       for (size_t k = 0; k < H; ++k) dh[k] += dx[k];
       if (has_exo) {
         for (size_t k = 0; k < H; ++k) (*dexo)[k] += dx[H + k];
       }
     }
   }
-  const Vec dh_pre = nn::ReluBackward(h_pre, dh);
-  ff1->Backward(x, dh_pre);
+  const Vec dh_pre = nn::ReluBackward(fwd.h_pre, dh);
+  ff1->Backward(fwd.x, dh_pre);
   return sample_loss;
 }
 
-double Retina::TrainBatch(
-    const RetweetTask& task,
-    const std::vector<std::pair<size_t, size_t>>& groups, size_t g0,
-    size_t g1, const nn::WeightedBce& loss) {
+double Retina::TrainBatch(const RetweetTask& task, size_t begin, size_t end,
+                          const nn::WeightedBce& loss) {
+  // The attention forward is shared, parallelism splits the group's
+  // candidate set. Chunk layout depends only on the candidate count, so
+  // any thread count produces the same chunk-ordered gradient sums.
   const auto& train = task.train;
   const size_t H = options_.hidden;
+  const TweetContext& ctx = task.tweets[train[begin].tweet_pos];
+  // Mean (not summed) gradient over the mini-batch keeps step sizes
+  // independent of the candidate-set size.
+  const double inv_batch = 1.0 / static_cast<double>(end - begin);
   double batch_loss = 0.0;
 
-  if (g1 - g0 == 1) {
-    // Single-group step (the paper's regime): the attention forward is
-    // shared, parallelism splits the group's candidate set. Chunk layout
-    // depends only on the candidate count, so any thread count produces
-    // the same chunk-ordered gradient sums.
-    const auto& [begin, end] = groups[g0];
-    const TweetContext& ctx = task.tweets[train[begin].tweet_pos];
-    // Mean (not summed) gradient over the mini-batch keeps step sizes
-    // independent of the candidate-set size.
-    const double inv_batch = 1.0 / static_cast<double>(end - begin);
-
-    nn::AttentionCache att_cache;
-    Vec exo;
-    if (attention_ != nullptr) {
-      exo = attention_->Forward(ctx.embedding, ctx.news_window, &att_cache);
-    }
-
-    const size_t n = end - begin;
-    const std::vector<par::ChunkRange> chunks =
-        par::MakeChunks(n, kCandidateGrain);
-    Vec dexo(H, 0.0);
-    if (chunks.size() <= 1) {
-      // One chunk: train straight against the master layers. Identical
-      // arithmetic to the replica path (replica grads start at the
-      // master's zeros), minus the copy.
-      for (size_t s = begin; s < end; ++s) {
-        batch_loss += TrainCandidate(ff1_.get(), head_.get(), rnn_.get(),
-                                     train[s], ctx, exo, inv_batch, loss,
-                                     &dexo);
-      }
-    } else {
-      std::vector<Replica> reps(chunks.size());
-      par::ParallelForChunks(n, kCandidateGrain,
-                             [&](const par::ChunkRange& chunk) {
-        Replica& rep = reps[chunk.index];
-        rep.ff1 = std::make_unique<nn::Dense>(*ff1_);
-        rep.head = std::make_unique<nn::Dense>(*head_);
-        if (rnn_ != nullptr) rep.rnn = rnn_->Clone();
-        rep.dexo.assign(H, 0.0);
-        for (size_t s = begin + chunk.begin; s < begin + chunk.end; ++s) {
-          rep.loss += TrainCandidate(rep.ff1.get(), rep.head.get(),
-                                     rep.rnn.get(), train[s], ctx, exo,
-                                     inv_batch, loss, &rep.dexo);
-        }
-      });
-      // Ordered reduction: chunk index order, so the gradient sums do not
-      // depend on scheduling.
-      const std::vector<nn::Param*> master = Replica::LayerParams(
-          ff1_.get(), nullptr, rnn_.get(), head_.get());
-      for (const Replica& rep : reps) {
-        AccumulateGrads(master, rep.Params());
-        Axpy(1.0, rep.dexo, &dexo);
-        batch_loss += rep.loss;
-      }
-    }
-    if (attention_ != nullptr && !att_cache.weights.empty()) {
-      attention_->Backward(att_cache, dexo);
-    }
-    return batch_loss;
+  nn::AttentionCache att_cache;
+  Vec exo;
+  if (attention_ != nullptr) {
+    exo = attention_->Forward(ctx.embedding, ctx.news_window, &att_cache);
   }
 
-  // Macro-batch: whole groups per chunk; each replica also owns an
-  // attention copy since the attention backward runs inside the chunk.
-  const size_t n_groups = g1 - g0;
-  const std::vector<par::ChunkRange> chunks = par::MakeChunks(n_groups, 1);
-  std::vector<Replica> reps(chunks.size());
-  par::ParallelForChunks(n_groups, 1, [&](const par::ChunkRange& chunk) {
-    Replica& rep = reps[chunk.index];
-    rep.ff1 = std::make_unique<nn::Dense>(*ff1_);
-    rep.head = std::make_unique<nn::Dense>(*head_);
-    if (rnn_ != nullptr) rep.rnn = rnn_->Clone();
-    if (attention_ != nullptr) {
-      rep.attention = std::make_unique<nn::ExogenousAttention>(*attention_);
+  const size_t n = end - begin;
+  const std::vector<par::ChunkRange> chunks =
+      par::MakeChunks(n, kCandidateGrain);
+  Vec dexo(H, 0.0);
+  if (chunks.size() <= 1) {
+    // One chunk: train straight against the master layers. Identical
+    // arithmetic to the replica path (replica grads start at the
+    // master's zeros), minus the copy.
+    for (size_t s = begin; s < end; ++s) {
+      batch_loss += TrainCandidate(ff1_.get(), head_.get(), rnn_.get(),
+                                   train[s], ctx, exo, inv_batch, loss,
+                                   &dexo);
     }
-    for (size_t g = chunk.begin; g < chunk.end; ++g) {
-      const auto& [begin, end] = groups[g0 + g];
-      const TweetContext& ctx = task.tweets[train[begin].tweet_pos];
-      const double inv_batch = 1.0 / static_cast<double>(end - begin);
-      nn::AttentionCache att_cache;
-      Vec exo;
-      if (rep.attention != nullptr) {
-        exo = rep.attention->Forward(ctx.embedding, ctx.news_window,
-                                     &att_cache);
-      }
-      Vec dexo(H, 0.0);
-      for (size_t s = begin; s < end; ++s) {
+  } else {
+    std::vector<Replica> reps(chunks.size());
+    par::ParallelForChunks(n, kCandidateGrain,
+                           [&](const par::ChunkRange& chunk) {
+      Replica& rep = reps[chunk.index];
+      rep.ff1 = std::make_unique<nn::Dense>(*ff1_);
+      rep.head = std::make_unique<nn::Dense>(*head_);
+      if (rnn_ != nullptr) rep.rnn = rnn_->Clone();
+      rep.dexo.assign(H, 0.0);
+      for (size_t s = begin + chunk.begin; s < begin + chunk.end; ++s) {
         rep.loss += TrainCandidate(rep.ff1.get(), rep.head.get(),
                                    rep.rnn.get(), train[s], ctx, exo,
-                                   inv_batch, loss, &dexo);
+                                   inv_batch, loss, &rep.dexo);
       }
-      if (rep.attention != nullptr && !att_cache.weights.empty()) {
-        rep.attention->Backward(att_cache, dexo);
-      }
+    });
+    // Ordered reduction: chunk index order, so the gradient sums do not
+    // depend on scheduling.
+    const std::vector<nn::Param*> master =
+        Replica::LayerParams(ff1_.get(), rnn_.get(), head_.get());
+    for (const Replica& rep : reps) {
+      AccumulateGrads(master, rep.Params());
+      Axpy(1.0, rep.dexo, &dexo);
+      batch_loss += rep.loss;
     }
-  });
-  const std::vector<nn::Param*> master = registry_.params();
-  for (const Replica& rep : reps) {
-    AccumulateGrads(master, rep.Params());
-    batch_loss += rep.loss;
+  }
+  if (attention_ != nullptr && !att_cache.weights.empty()) {
+    attention_->Backward(att_cache, dexo);
   }
   return batch_loss;
 }
@@ -337,7 +333,6 @@ Status Retina::Train(const RetweetTask& task) {
   std::vector<std::pair<size_t, size_t>> groups = GroupByTweet(train);
 
   Rng rng(options_.seed ^ 0xB0B0B0B0ULL);
-  const size_t batch = std::max<size_t>(1, options_.batch_groups);
   epoch_losses_.assign(static_cast<size_t>(std::max(0, options_.epochs)),
                        0.0);
 
@@ -378,15 +373,14 @@ Status Retina::Train(const RetweetTask& task) {
     double epoch_loss = 0.0;
     double grad_norm_sum = 0.0;
     size_t steps = 0;
-    for (size_t g0 = 0; g0 < groups.size(); g0 += batch) {
-      const size_t g1 = std::min(groups.size(), g0 + batch);
+    for (const auto& [begin, end] : groups) {
       if (!obs_on) {
-        epoch_loss += TrainBatch(task, groups, g0, g1, loss);
+        epoch_loss += TrainBatch(task, begin, end, loss);
         optimizer_->Step();
         continue;
       }
       const auto step_start = std::chrono::steady_clock::now();
-      epoch_loss += TrainBatch(task, groups, g0, g1, loss);
+      epoch_loss += TrainBatch(task, begin, end, loss);
       double sq = 0.0;
       for (const nn::Param* p : master_params) {
         for (const double g : p->grad.data()) sq += g * g;
@@ -415,139 +409,36 @@ Status Retina::Train(const RetweetTask& task) {
   return Status::OK();
 }
 
-double Retina::PredictStatic(const TweetContext& ctx,
-                             const Vec& user_features) const {
-  Vec exo;
-  if (attention_ != nullptr) {
-    exo = attention_->Forward(ctx.embedding, ctx.news_window, nullptr);
-  }
-  const Vec h = nn::Relu(HiddenForward(user_features, ctx.content));
-  const Vec concat = Concat(h, exo);
-  return Sigmoid(head_->Forward(concat)[0]);
-}
-
 Vec Retina::PredictDynamic(const TweetContext& ctx,
                            const Vec& user_features) const {
   Vec exo;
   if (attention_ != nullptr) {
     exo = attention_->Forward(ctx.embedding, ctx.news_window, nullptr);
   }
-  const Vec h = nn::Relu(HiddenForward(user_features, ctx.content));
-  Vec probs(num_intervals_);
-  Vec state(rnn_->state_dim(), 0.0);
-  const size_t H = options_.hidden;
-  for (size_t j = 0; j < num_intervals_; ++j) {
-    const Vec in = StepInput(h, exo, j);
-    state = rnn_->Forward(in, state, nullptr);
-    const Vec hidden(state.begin(), state.begin() + H);
-    probs[j] = Sigmoid(head_->Forward(hidden)[0]);
-  }
-  return probs;
+  CandidateForward fwd;
+  ForwardCandidate(*ff1_, *head_, rnn_.get(), ctx, user_features, exo, &fwd);
+  return std::move(fwd.probs);
 }
 
 double Retina::PredictScore(const TweetContext& ctx,
                             const Vec& user_features) const {
-  if (!options_.dynamic) return PredictStatic(ctx, user_features);
   const Vec probs = PredictDynamic(ctx, user_features);
-  double none = 1.0;
-  for (double p : probs) none *= (1.0 - p);
-  return 1.0 - none;
+  if (!options_.dynamic) return probs[0];
+  return AnyIntervalProbability(probs.data(), probs.size());
 }
 
-Matrix Retina::HiddenForwardBatch(
-    const TweetContext& ctx,
-    const std::vector<const Vec*>& user_features) const {
-  const size_t n = user_features.size();
-  Matrix x(n, input_dim_);
-  for (size_t i = 0; i < n; ++i) {
-    // Assemble + normalize in place: Concat's copies followed by the
-    // LayerNorm loops, without the two intermediate Vecs per row.
-    double* row = x.Row(i);
-    const Vec& u = *user_features[i];
-    std::copy(u.begin(), u.end(), row);
-    std::copy(ctx.content.begin(), ctx.content.end(), row + u.size());
-    nn::LayerNormInPlace(row, input_dim_);
-  }
-  return ff1_->ForwardBatch(x);
-}
-
-Matrix Retina::DynamicProbsBatch(const Matrix& h_relu, const Vec& exo) const {
-  const size_t n = h_relu.rows();
+const double* Retina::FirstLayerRows(const TweetContext& ctx,
+                                     const double* const* user_rows,
+                                     size_t n, ScratchArena* arena,
+                                     double** exo) const {
   const size_t H = options_.hidden;
-  const size_t J = num_intervals_;
-  const size_t S = rnn_->state_dim();
-  Matrix probs(n, J);
-  // The recurrent unroll stays per candidate (its arithmetic is inherently
-  // sequential), but running all candidates in interval lockstep lets the
-  // head score each interval's batch as one GEMM.
-  std::vector<Vec> states(n, Vec(S, 0.0));
-  Matrix hidden(n, H);
-  // One reused step-input buffer instead of two fresh Vecs per
-  // (candidate, interval); the entries match StepInput's exactly.
-  const size_t E = exo.size();
-  Vec in(H + E + 2);
-  for (size_t j = 0; j < J; ++j) {
-    in[H + E] = std::log1p(static_cast<double>(j + 1)) / 3.0;
-    in[H + E + 1] = static_cast<double>(j + 1) /
-                    static_cast<double>(num_intervals_);
-    for (size_t i = 0; i < n; ++i) {
-      const double* hrow = h_relu.Row(i);
-      std::copy(hrow, hrow + H, in.begin());
-      std::copy(exo.begin(), exo.end(), in.begin() + H);
-      states[i] = rnn_->Forward(in, states[i], nullptr);
-      std::copy(states[i].begin(), states[i].begin() + H, hidden.Row(i));
-    }
-    const Matrix logits = head_->ForwardBatch(hidden);
-    for (size_t i = 0; i < n; ++i) {
-      probs.Row(i)[j] = Sigmoid(logits.Row(i)[0]);
-    }
-  }
-  return probs;
-}
-
-Matrix Retina::PredictDynamicBatch(
-    const TweetContext& ctx,
-    const std::vector<const Vec*>& user_features) const {
-  if (user_features.empty()) return Matrix(0, num_intervals_);
-  Vec exo;
+  *exo = arena->AllocDoubles(ExoDim());
   if (attention_ != nullptr) {
     // Pure function of the tweet context — one forward serves the batch.
-    exo = attention_->Forward(ctx.embedding, ctx.news_window, nullptr);
+    attention_->ForwardInto(ctx.embedding, ctx.news_window, arena, *exo);
   }
-  Matrix h = HiddenForwardBatch(ctx, user_features);
-  nn::ReluInPlace(&h);
-  return DynamicProbsBatch(h, exo);
-}
-
-Vec Retina::ScoreBatch(const TweetContext& ctx,
-                       const std::vector<const Vec*>& user_features) const {
-  const size_t n = user_features.size();
-  Vec scores(n);
-  if (n == 0) return scores;
-  // Outermost request entry: reset this thread's arena (recording the
-  // high-water mark) and run the raw-row core against it.
-  ScratchArena& arena = TlsScratchArena();
-  arena.Reset();
-  auto** rows = static_cast<const double**>(arena.Allocate(
-      n * sizeof(const double*), alignof(const double*)));
-  for (size_t i = 0; i < n; ++i) rows[i] = user_features[i]->data();
-  ScoreBatchRows(ctx, rows, n, scores.data(), &arena);
-  return scores;
-}
-
-void Retina::ScoreBatchRows(const TweetContext& ctx,
-                            const double* const* user_rows, size_t n,
-                            double* scores, ScratchArena* arena) const {
-  if (n == 0) return;
-  const size_t H = options_.hidden;
-  const size_t E = attention_ != nullptr ? attention_->hdim() : 0;
-  double* exo = arena->AllocDoubles(E);
-  if (attention_ != nullptr) {
-    attention_->ForwardInto(ctx.embedding, ctx.news_window, arena, exo);
-  }
-
   // Feature rows: user block + tweet content, layer-normalized in place —
-  // the same copy + normalize sequence as HiddenForwardBatch.
+  // Concat's copies followed by LayerNorm's loops, without the Vecs.
   const size_t user_dim = input_dim_ - ctx.content.size();
   double* x = arena->AllocDoubles(n * input_dim_);
   for (size_t i = 0; i < n; ++i) {
@@ -559,33 +450,62 @@ void Retina::ScoreBatchRows(const TweetContext& ctx,
   double* h = arena->AllocDoubles(n * H);
   ff1_->ForwardBatchRaw(x, n, h);
   for (size_t i = 0; i < n * H; ++i) h[i] = std::max(0.0, h[i]);
+  return h;
+}
 
-  if (!options_.dynamic) {
-    double* concat = arena->AllocDoubles(n * (H + E));
+void Retina::ScoreBatchRows(const TweetContext& ctx,
+                            const double* const* user_rows, size_t n,
+                            double* scores, ScratchArena* arena) const {
+  if (n == 0) return;
+  if (options_.dynamic) {
+    const size_t J = num_intervals_;
+    double* probs = arena->AllocDoubles(n * J);
+    PredictDynamicRows(ctx, user_rows, n, probs, arena);
     for (size_t i = 0; i < n; ++i) {
-      const double* hrow = h + i * H;
-      double* crow = concat + i * (H + E);
-      std::copy(hrow, hrow + H, crow);
-      std::copy(exo, exo + E, crow + H);
+      scores[i] = AnyIntervalProbability(probs + i * J, J);
     }
-    double* logits = arena->AllocDoubles(n);
-    head_->ForwardBatchRaw(concat, n, logits);
-    for (size_t i = 0; i < n; ++i) scores[i] = Sigmoid(logits[i]);
     return;
   }
-
-  // Dynamic head: the recurrent unroll still runs on Vec/Matrix state, so
-  // this path allocates; the zero-allocation contract covers the static
-  // head only.
-  Matrix h_relu(n, H);
-  std::copy(h, h + n * H, h_relu.Row(0));
-  const Vec exo_vec(exo, exo + E);
-  const Matrix probs = DynamicProbsBatch(h_relu, exo_vec);
+  const size_t H = options_.hidden;
+  const size_t E = ExoDim();
+  double* exo = nullptr;
+  const double* h = FirstLayerRows(ctx, user_rows, n, arena, &exo);
+  double* concat = arena->AllocDoubles(n * (H + E));
   for (size_t i = 0; i < n; ++i) {
-    const double* prow = probs.Row(i);
-    double none = 1.0;
-    for (size_t j = 0; j < num_intervals_; ++j) none *= (1.0 - prow[j]);
-    scores[i] = 1.0 - none;
+    const double* hrow = h + i * H;
+    double* crow = concat + i * (H + E);
+    std::copy(hrow, hrow + H, crow);
+    std::copy(exo, exo + E, crow + H);
+  }
+  double* logits = arena->AllocDoubles(n);
+  head_->ForwardBatchRaw(concat, n, logits);
+  for (size_t i = 0; i < n; ++i) scores[i] = Sigmoid(logits[i]);
+}
+
+void Retina::PredictDynamicRows(const TweetContext& ctx,
+                                const double* const* user_rows, size_t n,
+                                double* probs, ScratchArena* arena) const {
+  if (n == 0) return;
+  const size_t H = options_.hidden;
+  const size_t E = ExoDim();
+  const size_t J = num_intervals_;
+  double* exo = nullptr;
+  const double* h = FirstLayerRows(ctx, user_rows, n, arena, &exo);
+  // The recurrent unroll stays per candidate (its arithmetic is inherently
+  // sequential), but running all candidates in interval lockstep lets the
+  // head score each interval's batch as one GEMM.
+  std::vector<Vec> states(n, Vec(rnn_->state_dim(), 0.0));
+  Vec in(H + E + 2);
+  double* hidden = arena->AllocDoubles(n * H);
+  double* logits = arena->AllocDoubles(n);
+  for (size_t j = 0; j < J; ++j) {
+    for (size_t i = 0; i < n; ++i) {
+      StepInputInto(h + i * H, exo, E, j, in.data());
+      states[i] = rnn_->Forward(in, states[i], nullptr);
+      std::copy(states[i].begin(), states[i].begin() + H, hidden + i * H);
+    }
+    head_->ForwardBatchRaw(hidden, n, logits);
+    for (size_t i = 0; i < n; ++i) probs[i * J + j] = Sigmoid(logits[i]);
   }
 }
 
@@ -606,16 +526,14 @@ void CollectIntervalSamples(const Retina& model, const RetweetTask& task,
   const auto groups = GroupByTweet(candidates);
   par::ParallelFor(groups.size(), 1, [&](size_t g) {
     const auto& [begin, end] = groups[g];
-    std::vector<const Vec*> users;
-    users.reserve(end - begin);
-    for (size_t s = begin; s < end; ++s) {
-      users.push_back(&candidates[s].user_features);
-    }
-    const Matrix probs = model.PredictDynamicBatch(
-        task.tweets[candidates[begin].tweet_pos], users);
+    ScratchArena& arena = TlsScratchArena();
+    const double* const* rows = CandidateRows(candidates, begin, end, &arena);
+    double* probs = arena.AllocDoubles((end - begin) * num_intervals);
+    model.PredictDynamicRows(task.tweets[candidates[begin].tweet_pos], rows,
+                             end - begin, probs, &arena);
     for (size_t i = begin; i < end; ++i) {
       const RetweetCandidate& cand = candidates[i];
-      const double* prow = probs.Row(i - begin);
+      const double* prow = probs + (i - begin) * num_intervals;
       int label_so_far = 0;
       double none_so_far = 1.0;
       for (size_t j = 0; j < num_intervals; ++j) {
@@ -710,15 +628,10 @@ Vec Retina::ScoreCandidates(
   const auto groups = GroupByTweet(candidates);
   par::ParallelFor(groups.size(), 1, [&](size_t g) {
     const auto& [begin, end] = groups[g];
-    std::vector<const Vec*> users;
-    users.reserve(end - begin);
-    for (size_t s = begin; s < end; ++s) {
-      users.push_back(&candidates[s].user_features);
-    }
-    const Vec out =
-        ScoreBatch(task.tweets[candidates[begin].tweet_pos], users);
-    std::copy(out.begin(), out.end(),
-              scores.begin() + static_cast<ptrdiff_t>(begin));
+    ScratchArena& arena = TlsScratchArena();
+    const double* const* rows = CandidateRows(candidates, begin, end, &arena);
+    ScoreBatchRows(task.tweets[candidates[begin].tweet_pos], rows,
+                   end - begin, scores.data() + begin, &arena);
   });
   return scores;
 }
@@ -741,8 +654,6 @@ Status Retina::Save(io::Checkpoint* ckpt, const std::string& prefix) const {
   ckpt->PutF64(prefix + "options/lambda", options_.lambda);
   ckpt->PutI64(prefix + "options/recurrent",
                static_cast<int64_t>(options_.recurrent));
-  ckpt->PutI64(prefix + "options/batch_groups",
-               static_cast<int64_t>(options_.batch_groups));
   ckpt->PutI64(prefix + "options/seed",
                static_cast<int64_t>(options_.seed));
   nn::SaveParams(registry_, ckpt, prefix + "params/");
@@ -760,7 +671,7 @@ Result<std::unique_ptr<Retina>> Retina::Load(const io::Checkpoint& ckpt,
       ckpt.GetI64(prefix + "meta/num_intervals", &num_intervals));
 
   RetinaOptions options;
-  int64_t hidden, epochs, recurrent, batch_groups, seed;
+  int64_t hidden, epochs, recurrent, seed;
   RETINA_RETURN_NOT_OK(ckpt.GetI64(prefix + "options/hidden", &hidden));
   RETINA_RETURN_NOT_OK(
       ckpt.GetBool(prefix + "options/dynamic", &options.dynamic));
@@ -775,8 +686,6 @@ Result<std::unique_ptr<Retina>> Retina::Load(const io::Checkpoint& ckpt,
                                    &options.lambda));
   RETINA_RETURN_NOT_OK(
       ckpt.GetI64(prefix + "options/recurrent", &recurrent));
-  RETINA_RETURN_NOT_OK(
-      ckpt.GetI64(prefix + "options/batch_groups", &batch_groups));
   RETINA_RETURN_NOT_OK(ckpt.GetI64(prefix + "options/seed", &seed));
 
   if (input_dim <= 0 || num_intervals <= 0 || hidden <= 0 ||
@@ -796,7 +705,6 @@ Result<std::unique_ptr<Retina>> Retina::Load(const io::Checkpoint& ckpt,
   options.hidden = static_cast<size_t>(hidden);
   options.epochs = static_cast<int>(epochs);
   options.recurrent = static_cast<nn::RecurrentKind>(recurrent);
-  options.batch_groups = static_cast<size_t>(batch_groups);
   options.seed = static_cast<uint64_t>(seed);
 
   auto model = std::make_unique<Retina>(

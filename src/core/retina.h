@@ -17,6 +17,15 @@
 // accumulating its gradient across the batch (paper batch sizes: 16 static
 // / 32 dynamic — one tweet's candidate set is the same order of magnitude).
 //
+// The forward is written once per shape. Per candidate, one pass keeps its
+// intermediates: training backpropagates through it, and PredictScore /
+// PredictDynamic read its probabilities, so the serial reference every
+// batched pin compares against is the pass training differentiates. Per
+// tweet group, one raw-row pass (attention once, arena rows, LayerNorm,
+// one ff1 GEMM, ReLU) feeds the static head (ScoreBatchRows) and the GRU
+// unroll (PredictDynamicRows); every batched entry point runs it and
+// matches the per-candidate pass bit for bit.
+//
 // Ablation (†): use_exogenous=false removes the attention block, matching
 // RETINA-S† / RETINA-D† in Table VI.
 
@@ -57,14 +66,6 @@ struct RetinaOptions {
   /// after trying a simple RNN (worse) and an LSTM (no gain) — see
   /// bench_ablation_recurrent.
   nn::RecurrentKind recurrent = nn::RecurrentKind::kGru;
-  /// Tweet groups per optimizer step. 1 reproduces the paper's per-tweet
-  /// stepping (parallelism then comes from splitting the group's candidate
-  /// set); larger values macro-batch whole groups per step, which scales
-  /// better but takes proportionally fewer optimizer steps per epoch.
-  /// Either way gradients accumulate into per-chunk buffers that are
-  /// reduced in chunk order, so results are bit-identical at any thread
-  /// count (see DESIGN.md "Threading model").
-  size_t batch_groups = 1;
   uint64_t seed = 42;
 };
 
@@ -85,46 +86,35 @@ class Retina {
   /// any thread count — the determinism regression tests pin this.
   const std::vector<double>& epoch_losses() const { return epoch_losses_; }
 
-  /// Static retweet probability P^{u_j}.
-  double PredictStatic(const TweetContext& ctx,
-                       const Vec& user_features) const;
-
-  /// Per-interval probabilities P^{u_j}_m (dynamic mode).
+  /// Per-interval probabilities P^{u_j}_m (dynamic mode; the static head
+  /// yields its one probability P^{u_j}), from the per-candidate forward.
   Vec PredictDynamic(const TweetContext& ctx, const Vec& user_features) const;
 
-  /// Batched dynamic inference over one tweet's candidate list: row i
-  /// equals PredictDynamic(ctx, *user_features[i]) bit-for-bit. The
-  /// attention and each candidate's ff1 row are computed once; the GRU
-  /// unrolls per candidate in interval lockstep so the head layer runs as
-  /// one GEMM per interval instead of one MatVec per (candidate,
-  /// interval).
-  Matrix PredictDynamicBatch(
-      const TweetContext& ctx,
-      const std::vector<const Vec*>& user_features) const;
+  /// Scalar score for ranking/classification: the static probability, or
+  /// in dynamic mode 1 - prod_m(1 - P_m) (probability of retweeting in any
+  /// interval). The per-candidate reference every batched entry point
+  /// matches bit for bit.
+  double PredictScore(const TweetContext& ctx, const Vec& user_features) const;
 
-  /// Batched scalar scores for one tweet's candidate list: entry i equals
-  /// PredictScore(ctx, *user_features[i]) bit-for-bit. The attention
-  /// forward is shared across the batch and the dense layers each run as a
-  /// single blocked GEMM (see DESIGN.md "Batched serving").
-  Vec ScoreBatch(const TweetContext& ctx,
-                 const std::vector<const Vec*>& user_features) const;
-
-  /// Arena-backed ScoreBatch over raw candidate feature rows (each
+  /// Batched scores for one tweet's candidates over raw feature rows (each
   /// `user_rows[i]` holds user_dim entries): scores[i] equals
   /// PredictScore(ctx, row i) bit-for-bit. Every temporary comes from
   /// `arena` — bumped, never reset here, so the caller owns the request
   /// epoch — and on a warm arena the static forward performs zero heap
-  /// allocations. Dynamic mode falls back to the Matrix-based batched
-  /// unroll, which still allocates.
+  /// allocations (the dynamic head's recurrent state still allocates).
   void ScoreBatchRows(const TweetContext& ctx, const double* const* user_rows,
                       size_t n, double* scores, ScratchArena* arena) const;
 
-  /// Scalar score for ranking/classification: the static probability, or
-  /// in dynamic mode 1 - prod_m(1 - P_m) (probability of retweeting in any
-  /// interval).
-  double PredictScore(const TweetContext& ctx, const Vec& user_features) const;
+  /// Batched per-interval probabilities (dynamic mode) over raw feature
+  /// rows: `probs` holds n x num_intervals entries row-major, and row i
+  /// equals PredictDynamic(ctx, row i) bit-for-bit. The recurrent cell
+  /// unrolls per candidate in interval lockstep, so the head runs as one
+  /// GEMM per interval. Temporaries come from `arena` as in ScoreBatchRows.
+  void PredictDynamicRows(const TweetContext& ctx,
+                          const double* const* user_rows, size_t n,
+                          double* probs, ScratchArena* arena) const;
 
-  /// Scores for a candidate list.
+  /// Scores for a candidate list: one ScoreBatchRows per tweet group.
   Vec ScoreCandidates(const RetweetTask& task,
                       const std::vector<RetweetCandidate>& candidates) const;
 
@@ -172,26 +162,41 @@ class Retina {
 
  private:
   // Per-chunk model replica for data-parallel gradient accumulation: each
-  // work chunk trains against its own copy of the layers and the replica
-  // gradients are reduced back into the master parameters in chunk order.
+  // work chunk trains against its own copy of the layers below the shared
+  // attention forward, and the replica gradients are reduced back into
+  // the master parameters in chunk order.
   struct Replica;
 
-  // Forward pieces shared by train and predict. `exo` is the attended
-  // exogenous vector for the sample's tweet (empty when disabled).
-  Vec HiddenForward(const Vec& user_features, const Vec& content) const;
+  // One candidate's forward intermediates (see ForwardCandidate).
+  struct CandidateForward;
 
-  // Batched HiddenForward: row i is HiddenForward(*user_features[i],
-  // ctx.content) (pre-activation). LayerNorm stays per dense row — its
-  // mean/variance must accumulate over every entry, zeros included, in
-  // index order — then ff1 runs as one GEMM over the batch.
-  Matrix HiddenForwardBatch(const TweetContext& ctx,
-                            const std::vector<const Vec*>& user_features) const;
+  // The per-candidate forward against the given layers (master or
+  // replica): [user_features ; ctx.content] -> LayerNorm -> ff1 -> ReLU,
+  // then the sigmoid head over [h ; exo] or the recurrent unroll over
+  // intervals. `exo` is the tweet's attended exogenous vector (empty when
+  // disabled). Keeps every intermediate TrainCandidate's backward reads.
+  void ForwardCandidate(const nn::Dense& ff1, const nn::Dense& head,
+                        const nn::RecurrentCell* rnn, const TweetContext& ctx,
+                        const Vec& user_features, const Vec& exo,
+                        CandidateForward* fwd) const;
 
-  // Per-interval probabilities for a batch of candidates whose ReLU'd ff1
-  // rows are `h_relu`; row i matches the per-candidate unroll exactly.
-  Matrix DynamicProbsBatch(const Matrix& h_relu, const Vec& exo) const;
+  // The batched first layer: the attention output (ExoDim() entries, into
+  // *exo) and the returned n ReLU'd ff1 rows of options_.hidden entries,
+  // all in `arena`.
+  // LayerNorm stays per dense row — its mean/variance must accumulate over
+  // every entry, zeros included, in index order — then ff1 runs as one
+  // GEMM over the batch.
+  const double* FirstLayerRows(const TweetContext& ctx,
+                               const double* const* user_rows, size_t n,
+                               ScratchArena* arena, double** exo) const;
 
-  Vec StepInput(const Vec& hidden, const Vec& exo, size_t interval) const;
+  // Width of the attention output (0 for the † ablation).
+  size_t ExoDim() const;
+
+  // Recurrent input at `interval` into `in` (H + E + 2 entries): the
+  // ReLU'd ff1 row, the attention output, and the interval encoding.
+  void StepInputInto(const double* h, const double* exo, size_t E,
+                     size_t interval, double* in) const;
 
   // Forward + backward for one candidate against the given layers (master
   // or replica). Accumulates parameter gradients and the attention-output
@@ -203,11 +208,11 @@ class Retina {
                         double inv_batch, const nn::WeightedBce& loss,
                         Vec* dexo) const;
 
-  // Gradient accumulation + optimizer step for groups [g0, g1); returns
-  // the batch's summed (inv_batch-scaled) loss.
-  double TrainBatch(const RetweetTask& task,
-                    const std::vector<std::pair<size_t, size_t>>& groups,
-                    size_t g0, size_t g1, const nn::WeightedBce& loss);
+  // Gradient accumulation for one tweet group's train candidates
+  // [begin, end) — the paper's per-tweet step; returns the group's summed
+  // (inv_batch-scaled) loss. Train applies the optimizer step.
+  double TrainBatch(const RetweetTask& task, size_t begin, size_t end,
+                    const nn::WeightedBce& loss);
 
   RetinaOptions options_;
   size_t input_dim_;

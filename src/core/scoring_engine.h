@@ -11,11 +11,12 @@
 //   (c) the model forward.
 // The engine computes (a) once per request, serves (b) from a bounded LRU
 // keyed by user (stored sparse — the block is dominated by a ~300-dim
-// tf-idf vector with a few dozen nonzeros), and runs (c) through the
-// batched GEMM path (Retina::ScoreBatch). Every mode produces bit-identical
-// scores: caching only skips recomputation of pure functions, and the
-// batched forward matches the per-candidate forward entry for entry (see
-// DESIGN.md "Batched serving").
+// tf-idf vector with a few dozen nonzeros), and runs (c) through RETINA's
+// raw-row batched pass (Retina::ScoreBatchRows). Every mode produces
+// bit-identical scores: caching only skips recomputation of pure
+// functions, and the batched pass matches the per-candidate forward
+// (Retina::PredictScore) entry for entry (see DESIGN.md "Batched
+// serving").
 //
 // Not thread-safe: one engine per serving thread. Parallelism lives below
 // the engine, inside the batched model forward.
@@ -65,8 +66,8 @@ struct ScoringEngineOptions {
   size_t user_cache_bytes = 0;
   /// Per-tweet context LRU capacity (content, embedding, news window, BFS).
   size_t tweet_cache_capacity = 256;
-  /// Score through Retina::ScoreBatch (one GEMM per layer) instead of one
-  /// PredictScore per candidate.
+  /// Score through Retina::ScoreBatchRows (one GEMM per layer over arena
+  /// rows) instead of one per-candidate Retina::PredictScore.
   bool batched = true;
   /// Serve per-user and per-tweet invariants from the LRUs instead of
   /// recomputing them on every request.
@@ -127,7 +128,7 @@ class ScoringEngine {
                            const std::string& dir,
                            store::FeatureStoreOptions store_options = {});
 
-  /// Attached store, or nullptr. Exposes the store's own lookup stats.
+  /// Attached store, or nullptr.
   const store::FeatureStore* store() const { return store_.get(); }
 
   const ScoringEngineOptions& options() const { return options_; }

@@ -15,19 +15,16 @@ ExogenousAttention::ExogenousAttention(size_t tweet_dim, size_t news_dim,
       Wk_(news_dim, hdim),
       Wv_(news_dim, hdim) {}
 
-void ExogenousAttention::ProjectQuery(const double* tweet, size_t tweet_dim,
-                                      double* q) const {
-  // Q = X^T (.) Wq : (hdim)
-  for (size_t j = 0; j < tweet_dim; ++j) {
+void ExogenousAttention::ForwardCore(const Vec& tweet, const Matrix& news,
+                                     double* q, double* k, double* v,
+                                     double* weights, double* out) const {
+  const size_t seq = news.rows();
+  // Q = X^T (.) Wq : (hdim), skipping zero tweet entries.
+  for (size_t j = 0; j < tweet.size(); ++j) {
     if (tweet[j] == 0.0) continue;
     simd::Axpy(tweet[j], Wq_.value.Row(j), q, hdim_);
   }
-}
-
-void ExogenousAttention::ProjectKeysValues(const Matrix& news, double* k,
-                                           double* v) const {
-  const size_t seq = news.rows();
-  assert(seq == 0 || news.cols() == Wk_.value.rows());
+  // K, V = X^N (.) Wk, X^N (.) Wv : (seq x hdim).
   for (size_t i = 0; i < seq; ++i) {
     const double* nrow = news.Row(i);
     double* krow = k + i * hdim_;
@@ -39,15 +36,6 @@ void ExogenousAttention::ProjectKeysValues(const Matrix& news, double* k,
       simd::Axpy(x, Wv_.value.Row(j), vrow, hdim_);
     }
   }
-}
-
-void ExogenousAttention::ForwardCore(const double* tweet, size_t tweet_dim,
-                                     const Matrix& news, double* q,
-                                     double* k, double* v, double* weights,
-                                     double* out) const {
-  const size_t seq = news.rows();
-  ProjectQuery(tweet, tweet_dim, q);
-  ProjectKeysValues(news, k, v);
 
   // A = softmax(Q.K / sqrt(hdim)).
   const double scale = 1.0 / std::sqrt(static_cast<double>(hdim_));
@@ -80,8 +68,8 @@ Vec ExogenousAttention::Forward(const Vec& tweet, const Matrix& news,
   Vec q(hdim_, 0.0);
   Matrix k(seq, hdim_), v(seq, hdim_);
   Vec weights(seq);
-  ForwardCore(tweet.data(), tweet.size(), news, q.data(), k.Row(0),
-              v.Row(0), weights.data(), out.data());
+  ForwardCore(tweet, news, q.data(), k.Row(0), v.Row(0), weights.data(),
+              out.data());
 
   if (cache != nullptr) {
     cache->tweet = tweet;
@@ -106,40 +94,7 @@ void ExogenousAttention::ForwardInto(const Vec& tweet, const Matrix& news,
   double* k = arena->AllocDoublesZeroed(seq * hdim_);
   double* v = arena->AllocDoublesZeroed(seq * hdim_);
   double* weights = arena->AllocDoubles(seq);
-  ForwardCore(tweet.data(), tweet.size(), news, q, k, v, weights, out);
-}
-
-Matrix ExogenousAttention::ForwardBatch(const Matrix& queries,
-                                        const Matrix& news) const {
-  assert(queries.cols() == Wq_.value.rows());
-  const size_t n = queries.rows();
-  const size_t seq = news.rows();
-  Matrix out(n, hdim_);
-  if (seq == 0 || n == 0) return out;
-
-  // One K/V projection for the whole batch; each row's query projection,
-  // weight dots and value aggregation run the identical kernels Forward
-  // uses, so row i is bit-identical to Forward(queries row i, news) at
-  // any dispatch choice.
-  Matrix k(seq, hdim_), v(seq, hdim_);
-  ProjectKeysValues(news, k.Row(0), v.Row(0));
-
-  const double scale = 1.0 / std::sqrt(static_cast<double>(hdim_));
-  Vec q(hdim_);
-  Vec weights(seq);
-  for (size_t r = 0; r < n; ++r) {
-    std::fill(q.begin(), q.end(), 0.0);
-    ProjectQuery(queries.Row(r), queries.cols(), q.data());
-    for (size_t i = 0; i < seq; ++i) {
-      weights[i] = simd::Dot(q.data(), k.Row(i), hdim_) * scale;
-    }
-    SoftmaxInPlace(&weights);
-    double* orow = out.Row(r);
-    for (size_t i = 0; i < seq; ++i) {
-      simd::Axpy(weights[i], v.Row(i), orow, hdim_);
-    }
-  }
-  return out;
+  ForwardCore(tweet, news, q, k, v, weights, out);
 }
 
 void ExogenousAttention::Backward(const AttentionCache& cache,

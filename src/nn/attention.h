@@ -40,19 +40,12 @@ class ExogenousAttention {
   Vec Forward(const Vec& tweet, const Matrix& news,
               AttentionCache* cache) const;
 
-  /// Arena-backed Forward for the serving path: all temporaries (q, K, V,
-  /// weights) come from `arena` and `out` receives the hdim() attended
-  /// vector. Bit-identical to Forward — both run the same kernel core.
+  /// Arena-backed Forward for the batched RETINA forward, which runs it
+  /// once per tweet group: all temporaries (q, K, V, weights) come from
+  /// `arena` and `out` receives the hdim() attended vector. Bit-identical
+  /// to Forward — both run the same kernel core.
   void ForwardInto(const Vec& tweet, const Matrix& news,
                    ScratchArena* arena, double* out) const;
-
-  /// Batched query path: row i of the result equals
-  /// Forward(queries row i, news). The Key/Value projections — the
-  /// dominant per-call cost — are computed once for the whole batch and
-  /// the Query projection runs as one GEMM, so scoring many tweets
-  /// against a shared news window costs a handful of GEMMs instead of
-  /// per-call K/V work.
-  Matrix ForwardBatch(const Matrix& queries, const Matrix& news) const;
 
   /// Accumulates parameter gradients from upstream `dout`; input gradients
   /// are not propagated (features are fixed).
@@ -68,25 +61,16 @@ class ExogenousAttention {
   /// Dimensionality of the tweet-side query input.
   size_t tweet_dim() const { return Wq_.value.rows(); }
 
-  /// Attention weights from the last Forward on `cache` (diagnostics).
+  /// Attention width: the dimensionality of the attended output.
   size_t hdim() const { return hdim_; }
 
  private:
   // Shared kernel core over caller-provided buffers: q and out hold hdim
   // entries, k/v hold seq x hdim rows, weights holds seq entries; q, k, v
-  // and out must arrive zeroed. Every path (Forward, ForwardInto,
-  // ForwardBatch rows) funnels through this, so all of them are mutually
-  // bit-identical at any kernel dispatch.
-  void ForwardCore(const double* tweet, size_t tweet_dim, const Matrix& news,
-                   double* q, double* k, double* v, double* weights,
-                   double* out) const;
-
-  // q += Wq^T tweet (axpy over Wq's rows, skipping zero tweet entries).
-  void ProjectQuery(const double* tweet, size_t tweet_dim, double* q) const;
-
-  // K, V = news (.) Wk, news (.) Wv into zeroed seq x hdim row-major
-  // buffers, shared by the single and batched query paths.
-  void ProjectKeysValues(const Matrix& news, double* k, double* v) const;
+  // and out must arrive zeroed. Forward and ForwardInto both funnel
+  // through this, so they are bit-identical at any kernel dispatch.
+  void ForwardCore(const Vec& tweet, const Matrix& news, double* q,
+                   double* k, double* v, double* weights, double* out) const;
 
   size_t hdim_;
   Param Wq_;  // tweet_dim x hdim

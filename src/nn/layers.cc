@@ -30,30 +30,6 @@ Vec Dense::Forward(const Vec& x) const {
   return y;
 }
 
-Vec Dense::ForwardSparse(const SparseVec& x) const {
-  assert(x.dim() == W_.value.cols());
-  Vec y = SparseMatVec(W_.value, x);
-  for (size_t i = 0; i < y.size(); ++i) y[i] += b_.value(0, i);
-  return y;
-}
-
-Matrix Dense::ForwardBatch(const Matrix& X) const {
-  assert(X.cols() == W_.value.cols());
-  Matrix Y(X.rows(), W_.value.rows());
-  ForwardBatchRaw(X.rows() == 0 ? nullptr : X.Row(0), X.rows(),
-                  Y.rows() == 0 ? nullptr : Y.Row(0));
-  return Y;
-}
-
-Vec SparseMatVec(const Matrix& W, const SparseVec& x) {
-  assert(x.dim() == W.cols());
-  Vec y(W.rows(), 0.0);
-  simd::SparseMatVec(W.rows() == 0 ? nullptr : W.Row(0), W.rows(), W.cols(),
-                     x.values().data(), x.indices().data(), x.nnz(),
-                     y.data());
-  return y;
-}
-
 Vec Dense::Backward(const Vec& x, const Vec& dy) {
   assert(dy.size() == W_.value.rows());
   assert(x.size() == W_.value.cols());
@@ -71,10 +47,6 @@ Vec Relu(const Vec& x) {
   Vec y(x.size());
   for (size_t i = 0; i < x.size(); ++i) y[i] = std::max(0.0, x[i]);
   return y;
-}
-
-void ReluInPlace(Matrix* x) {
-  for (double& v : x->data()) v = std::max(0.0, v);
 }
 
 Vec ReluBackward(const Vec& x, const Vec& dy) {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sparse_vec.h"
 #include "nn/param.h"
 #include "nn/param_registry.h"
 
@@ -27,25 +26,16 @@ class Dense {
 
   Vec Forward(const Vec& x) const;
 
-  /// Forward for a sparse input; touches only W's columns at x's nonzero
-  /// indices. Equal to Forward(x.ToDense()) — bitwise under the scalar
-  /// kernel backend, within 1e-12 relative tolerance under SIMD (the
-  /// sparse reduction partitions terms across lanes differently).
-  Vec ForwardSparse(const SparseVec& x) const;
-
-  /// Batched forward: Y row i = Forward(X row i), computed as one blocked
-  /// GEMM against W instead of rows() MatVecs. Every output entry goes
-  /// through the same dispatched dot kernel as Forward, so the rows are
-  /// bit-identical to the one-vector-at-a-time path at any dispatch.
-  Matrix ForwardBatch(const Matrix& X) const;
-
   /// Raw-buffer forward: y[0..out_dim) = W x + b for x of in_dim entries.
-  /// Identical arithmetic to Forward; used by the arena-backed serving
-  /// path to avoid per-request Vec allocations.
+  /// Identical arithmetic to Forward.
   void ForwardRaw(const double* x, double* y) const;
 
   /// Raw-buffer batched forward over n row-major rows of in_dim entries;
-  /// y holds n x out_dim. Identical arithmetic to ForwardBatch.
+  /// y holds n x out_dim. Computed as one blocked GEMM against W instead
+  /// of n MatVecs; every output entry goes through the same dispatched
+  /// dot kernel as Forward, so row i is bit-identical to Forward(row i)
+  /// at any dispatch. The batched RETINA forward runs its dense layers
+  /// here over arena rows.
   void ForwardBatchRaw(const double* x, size_t n, double* y) const;
 
   /// Accumulates dW, db from (cached input x, upstream dy); returns dx.
@@ -64,18 +54,8 @@ class Dense {
   Param W_, b_;
 };
 
-/// y = W x for a sparse x: each output entry accumulates
-/// W(i, j) * x_j over x's stored indices in ascending order — the nonzero
-/// subsequence of MatVec's loop, so the result matches W.MatVec(x.ToDense())
-/// bitwise under the scalar kernel backend and within 1e-12 relative
-/// tolerance under SIMD.
-Vec SparseMatVec(const Matrix& W, const SparseVec& x);
-
 /// ReLU forward.
 Vec Relu(const Vec& x);
-
-/// Row-wise ReLU in place (batched activations).
-void ReluInPlace(Matrix* x);
 
 /// ReLU backward: dy masked by x > 0.
 Vec ReluBackward(const Vec& x, const Vec& dy);

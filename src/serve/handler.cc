@@ -56,15 +56,18 @@ const datagen::SyntheticWorld& RequestHandler::world() const {
 
 namespace {
 
-/// Shared request validation: fills `*resp` with the error response the
-/// unbatched path would produce, or collects the narrowed user ids into
-/// `*users` and returns true. Both the single and the fused path answer
-/// invalid requests through this one function, so an invalid request in a
-/// coalesced batch errors byte-identically to unbatched handling.
+/// Shared request validation: resets `*resp` to an empty kOk answer to
+/// `req` (the caller's vector may hold an earlier call's response), then
+/// either fills it with the error response the unbatched path would
+/// produce, or collects the narrowed user ids into `*users` and returns
+/// true. Both the single and the fused path answer invalid requests
+/// through this one function, so an invalid request in a coalesced batch
+/// errors byte-identically to unbatched handling.
 bool ValidateRequest(const datagen::SyntheticWorld& w, const ScoreRequest& req,
                      std::vector<datagen::NodeId>* users,
                      ScoreResponse* resp) {
   resp->request_id = req.request_id;
+  resp->code = ResponseCode::kOk;
   resp->scores.clear();
   resp->message.clear();
   if (req.tweet_id >= w.tweets().size()) {
@@ -99,7 +102,6 @@ void RequestHandler::HandleScore(size_t worker, const ScoreRequest& req,
   if (!ValidateRequest(w, req, &users, resp)) return;
   engines_[worker]->ScoreTweetInto(w.tweets()[req.tweet_id], users,
                                    &resp->scores);
-  resp->code = ResponseCode::kOk;
 }
 
 void RequestHandler::HandleScoreBatch(
@@ -153,7 +155,6 @@ void RequestHandler::HandleScoreBatch(
     const auto [begin, end] = slices[i];
     resp.scores.assign(scores.begin() + static_cast<ptrdiff_t>(begin),
                        scores.begin() + static_cast<ptrdiff_t>(end));
-    resp.code = ResponseCode::kOk;
   }
 }
 

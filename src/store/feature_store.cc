@@ -419,14 +419,12 @@ Status FeatureStore::VerifyBlock(size_t b) {
     return CorruptBlock(b, "checksum mismatch");
   }
   block_verified_[b] = 1;
-  ++stats_.blocks_verified;
   hooks_.blocks_verified->Add(1);
   return Status::OK();
 }
 
 Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
                             LookupOutcome* outcome) {
-  ++stats_.lookups;
   hooks_.lookups->Add(1);
 
   // Index binary search: first block whose last user is >= user.
@@ -435,7 +433,6 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   if (it == block_last_.end() ||
       user < block_first_[static_cast<size_t>(it - block_last_.begin())]) {
     *outcome = LookupOutcome::kAbsentRange;
-    ++stats_.range_skips;
     hooks_.range_skips->Add(1);
     return Status::OK();
   }
@@ -444,7 +441,6 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   // Bloom probe: a negative answer skips every byte of the block.
   if (!block_bloom_[b].MayContain(user)) {
     *outcome = LookupOutcome::kAbsentBloom;
-    ++stats_.bloom_skips;
     hooks_.bloom_skips->Add(1);
     return Status::OK();
   }
@@ -479,7 +475,6 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   }
   if (lo == n || LoadU64(users + 8 * lo) != user) {
     *outcome = LookupOutcome::kAbsentBlock;  // Bloom false positive
-    ++stats_.bloom_false_positives;
     hooks_.bloom_false_positives->Add(1);
     return Status::OK();
   }
@@ -508,7 +503,6 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   }
   *out = std::move(decoded);
   *outcome = LookupOutcome::kFound;
-  ++stats_.found;
   hooks_.found->Add(1);
   return Status::OK();
 }

@@ -39,7 +39,7 @@
 // and stale index entries surface as Status errors, never UB.
 //
 // Not thread-safe: like the serving engine that owns it, one store
-// instance per serving thread (the verified-block cache and stats are
+// instance per serving thread (the verified-block cache is
 // unsynchronized).
 
 #ifndef RETINA_STORE_FEATURE_STORE_H_
@@ -79,16 +79,6 @@ enum class LookupOutcome : uint8_t {
   kAbsentRange,      ///< user id outside every block's [first, last] range
   kAbsentBloom,      ///< the owning block's Bloom filter rejected the user
   kAbsentBlock,      ///< Bloom false positive: block searched, user absent
-};
-
-/// Lifetime read counters (also mirrored into retina::obs).
-struct FeatureStoreStats {
-  uint64_t lookups = 0;
-  uint64_t found = 0;
-  uint64_t range_skips = 0;   ///< kAbsentRange outcomes
-  uint64_t bloom_skips = 0;   ///< kAbsentBloom outcomes
-  uint64_t bloom_false_positives = 0;  ///< kAbsentBlock outcomes
-  uint64_t blocks_verified = 0;  ///< checksum passes (first touch per block)
 };
 
 /// \brief Streaming writer: Add users in ascending id order, then Finish.
@@ -169,7 +159,6 @@ class FeatureStore {
   size_t num_entries() const { return num_entries_; }
   size_t num_blocks() const { return block_offset_.size(); }
   double bits_per_key() const { return bits_per_key_; }
-  const FeatureStoreStats& stats() const { return stats_; }
 
  private:
   FeatureStore() = default;
@@ -195,17 +184,19 @@ class FeatureStore {
   std::vector<BloomFilter> block_bloom_;
   std::vector<uint8_t> block_verified_;
 
-  FeatureStoreStats stats_;
-
-  /// Registry instruments, resolved once at Open. Observational mirrors of
-  /// stats_ (obs-on ≡ obs-off: nothing here affects lookup results).
+  /// Registry instruments, resolved once at Open: the store's only record
+  /// of its lookups, process-wide and counting in every build (read them
+  /// as a Registry::SnapshotDelta). Observers only — nothing here affects
+  /// lookup results.
   struct ObsHooks {
     static ObsHooks Resolve();
-    obs::Counter* lookups;
-    obs::Counter* found;
-    obs::Counter* range_skips;
-    obs::Counter* bloom_skips;
+    obs::Counter* lookups;      ///< store.lookups
+    obs::Counter* found;        ///< store.found
+    obs::Counter* range_skips;  ///< store.range_skips: kAbsentRange
+    obs::Counter* bloom_skips;  ///< store.bloom.skips: kAbsentBloom
+    /// store.bloom.false_positives: kAbsentBlock outcomes
     obs::Counter* bloom_false_positives;
+    /// store.blocks_verified: checksum passes (first touch per block)
     obs::Counter* blocks_verified;
   };
   ObsHooks hooks_ = {};

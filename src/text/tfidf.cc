@@ -118,14 +118,6 @@ Matrix TfIdfVectorizer::TransformBatch(
   return out;
 }
 
-std::vector<SparseVec> TfIdfVectorizer::TransformBatchSparse(
-    const std::vector<std::vector<std::string>>& docs) const {
-  std::vector<SparseVec> out;
-  out.reserve(docs.size());
-  for (const auto& doc : docs) out.push_back(TransformSparse(doc));
-  return out;
-}
-
 Vec TfIdfVectorizer::TransformAverage(
     const std::vector<std::vector<std::string>>& docs) const {
   Vec acc(Dim(), 0.0);

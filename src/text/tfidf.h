@@ -57,10 +57,6 @@ class TfIdfVectorizer {
   Matrix TransformBatch(
       const std::vector<std::vector<std::string>>& docs) const;
 
-  /// Sparse batch transform (entries follow input order).
-  std::vector<SparseVec> TransformBatchSparse(
-      const std::vector<std::vector<std::string>>& docs) const;
-
   /// Average of transformed vectors over `docs` — used for the exogenous
   /// news feature (Section IV-D averages the 60 most recent headlines).
   /// Accumulates sparse transforms; each output entry sums the same terms

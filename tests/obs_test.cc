@@ -821,10 +821,10 @@ TEST(TraceTest, ExportParentsNestedSpansAndStampsTraceIds) {
   obs::StartTracing();
   {
     obs::TraceRequestScope request;
-    obs::TraceSpan outer("trace_test.outer");
+    RETINA_OBS_SPAN("trace_test.outer");
     SpinWork();
     {
-      obs::TraceSpan inner("trace_test.inner");
+      RETINA_OBS_SPAN("trace_test.inner");
       SpinWork();
       obs::TraceInstant("trace_test.instant");
     }
@@ -908,7 +908,7 @@ TEST(TraceTest, ParallelForChunksNestUnderSubmittingSpan) {
   double root_trace_id = 0.0;
   {
     obs::TraceRequestScope request;
-    obs::TraceSpan root("trace_test.loop");
+    RETINA_OBS_SPAN("trace_test.loop");
     par::ParallelForChunks(400, 10, [](const par::ChunkRange& chunk) {
       volatile size_t sink = 0;
       for (size_t i = chunk.begin; i < chunk.end; ++i) sink = sink + i;

@@ -1,7 +1,8 @@
 // Tests for the batched sparse scoring path: SparseVec kernels, sparse
-// tf-idf equivalence, batched dense/attention forwards, the LRU cache, and
-// the ScoringEngine's bit-identity to per-candidate scoring in both static
-// and dynamic modes.
+// tf-idf equivalence, the batched dense forward, the LRU cache, RETINA's
+// raw-row batched pass against its per-candidate forward, and the
+// ScoringEngine's bit-identity to per-candidate scoring in both static and
+// dynamic modes.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include <filesystem>
 
+#include "common/arena.h"
 #include "common/lru_cache.h"
 #include "common/obs.h"
 #include "common/rng.h"
@@ -28,7 +30,6 @@
 #include "core/scoring_engine.h"
 #include "io/checkpoint.h"
 #include "hatedetect/annotation.h"
-#include "nn/attention.h"
 #include "nn/layers.h"
 #include "nn/param_registry.h"
 #include "store/feature_store.h"
@@ -278,11 +279,6 @@ TEST(TfIdfSparseTest, TransformSparseEqualsTransform) {
       EXPECT_EQ(sparse[i], dense[i]) << "doc term " << i;
     }
   }
-  const auto batch = vectorizer.TransformBatchSparse(docs);
-  ASSERT_EQ(batch.size(), docs.size());
-  for (size_t d = 0; d < docs.size(); ++d) {
-    EXPECT_EQ(batch[d].ToDense(), vectorizer.Transform(docs[d]));
-  }
 }
 
 // ------------------------------------------------------ Batched kernels --
@@ -305,7 +301,7 @@ TEST(BatchedKernelTest, MatMulTransposedBMatchesPerRowMatVec) {
   }
 }
 
-TEST(BatchedKernelTest, DenseForwardBatchBitIdenticalToForward) {
+TEST(BatchedKernelTest, DenseForwardBatchRawBitIdenticalToForward) {
   Rng rng(29);
   nn::Dense layer(20, 9);
   {
@@ -319,73 +315,13 @@ TEST(BatchedKernelTest, DenseForwardBatchBitIdenticalToForward) {
       x.Row(r)[c] = rng.Bernoulli(0.3) ? rng.Normal() : 0.0;
     }
   }
-  const Matrix batch = layer.ForwardBatch(x);
+  Matrix batch(x.rows(), 9);
+  layer.ForwardBatchRaw(x.Row(0), x.rows(), batch.Row(0));
   for (size_t r = 0; r < x.rows(); ++r) {
     const Vec one = layer.Forward(x.RowVec(r));
     for (size_t j = 0; j < one.size(); ++j) {
       EXPECT_EQ(batch.Row(r)[j], one[j]);
     }
-  }
-}
-
-TEST(BatchedKernelTest, SparseForwardBitIdenticalToDenseForward) {
-  // Bitwise under the scalar backend; 1e-12 relative under SIMD, where the
-  // sparse and dense reductions partition terms across lanes differently
-  // (see nn/layers.h). The scalar-table comparison below pins the bitwise
-  // contract regardless of the active dispatch.
-  const bool bitwise = simd::Active() == simd::Backend::kScalar;
-  Rng rng(31);
-  nn::Dense layer(30, 8);
-  {
-    nn::ParamRegistry reg;
-    layer.RegisterParams(&reg, "dense");
-    reg.InitGlorot(&rng);
-  }
-  for (int round = 0; round < 5; ++round) {
-    const Vec x = RandomSparseDense(&rng, 30, 0.2);
-    const Vec dense = layer.Forward(x);
-    const Vec sparse = layer.ForwardSparse(SparseVec::FromDense(x));
-    ASSERT_EQ(sparse.size(), dense.size());
-    for (size_t j = 0; j < dense.size(); ++j) {
-      if (bitwise) {
-        EXPECT_EQ(sparse[j], dense[j]);
-      } else {
-        EXPECT_NEAR(sparse[j], dense[j],
-                    1e-12 * std::abs(dense[j]) + 1e-15);
-      }
-    }
-  }
-}
-
-TEST(BatchedKernelTest, AttentionForwardBatchBitIdenticalToForward) {
-  Rng rng(37);
-  nn::ExogenousAttention attention(10, 10, 6);
-  {
-    nn::ParamRegistry reg;
-    attention.RegisterParams(&reg, "att");
-    reg.InitGlorot(&rng);
-  }
-  Matrix news(15, 10);
-  for (size_t r = 0; r < news.rows(); ++r) {
-    for (size_t c = 0; c < news.cols(); ++c) news.Row(r)[c] = rng.Normal();
-  }
-  Matrix queries(4, 10);
-  for (size_t r = 0; r < queries.rows(); ++r) {
-    for (size_t c = 0; c < queries.cols(); ++c) {
-      queries.Row(r)[c] = rng.Normal();
-    }
-  }
-  const Matrix batch = attention.ForwardBatch(queries, news);
-  for (size_t r = 0; r < queries.rows(); ++r) {
-    const Vec one = attention.Forward(queries.RowVec(r), news, nullptr);
-    for (size_t h = 0; h < one.size(); ++h) {
-      EXPECT_EQ(batch.Row(r)[h], one[h]);
-    }
-  }
-  // Empty news window: zero output, like Forward.
-  const Matrix empty = attention.ForwardBatch(queries, Matrix(0, 10));
-  for (size_t r = 0; r < queries.rows(); ++r) {
-    for (size_t h = 0; h < 6; ++h) EXPECT_EQ(empty.Row(r)[h], 0.0);
   }
 }
 
@@ -440,11 +376,13 @@ Fixture& SharedFixture() {
   return *fixture;
 }
 
-std::unique_ptr<Retina> TrainModel(const RetweetTask& task, bool dynamic) {
+std::unique_ptr<Retina> TrainModel(const RetweetTask& task, bool dynamic,
+                                   bool use_exogenous = true) {
   RetinaOptions opts;
   opts.hidden = 12;
   opts.epochs = 2;
   opts.dynamic = dynamic;
+  opts.use_exogenous = use_exogenous;
   auto model = std::make_unique<Retina>(task.user_dim, task.content_dim,
                                         task.embed_dim, task.NumIntervals(),
                                         opts);
@@ -463,46 +401,64 @@ Vec SerialScores(const Retina& model, const RetweetTask& task,
   return scores;
 }
 
+// Both heads run with attention on and off (the † ablation): the raw-row
+// pass handles the no-attention case (an empty attention output) itself.
 TEST(BatchedRetinaTest, StaticScoreCandidatesBitIdenticalToSerial) {
   auto& f = SharedFixture();
-  const auto model = TrainModel(f.task, /*dynamic=*/false);
-  const Vec batched = model->ScoreCandidates(f.task, f.task.test);
-  const Vec serial = SerialScores(*model, f.task, f.task.test);
-  ASSERT_EQ(batched.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(batched[i], serial[i]) << "candidate " << i;
+  for (const bool use_exogenous : {true, false}) {
+    const auto model =
+        TrainModel(f.task, /*dynamic=*/false, use_exogenous);
+    const Vec batched = model->ScoreCandidates(f.task, f.task.test);
+    const Vec serial = SerialScores(*model, f.task, f.task.test);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(batched[i], serial[i])
+          << "use_exogenous=" << use_exogenous << " candidate " << i;
+    }
   }
 }
 
 TEST(BatchedRetinaTest, DynamicBatchBitIdenticalToSerial) {
   auto& f = SharedFixture();
-  const auto model = TrainModel(f.task, /*dynamic=*/true);
-  const Vec batched = model->ScoreCandidates(f.task, f.task.test);
-  const Vec serial = SerialScores(*model, f.task, f.task.test);
-  ASSERT_EQ(batched.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(batched[i], serial[i]) << "candidate " << i;
-  }
-  // Per-interval rows too, through the public batched API.
-  for (size_t i = 0; i < f.task.test.size();) {
-    size_t j = i + 1;
-    while (j < f.task.test.size() &&
-           f.task.test[j].tweet_pos == f.task.test[i].tweet_pos) {
-      ++j;
+  const size_t J = f.task.NumIntervals();
+  for (const bool use_exogenous : {true, false}) {
+    const auto model = TrainModel(f.task, /*dynamic=*/true, use_exogenous);
+    const Vec batched = model->ScoreCandidates(f.task, f.task.test);
+    const Vec serial = SerialScores(*model, f.task, f.task.test);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(batched[i], serial[i])
+          << "use_exogenous=" << use_exogenous << " candidate " << i;
     }
-    std::vector<const Vec*> users;
-    for (size_t s = i; s < j; ++s) {
-      users.push_back(&f.task.test[s].user_features);
-    }
-    const TweetContext& ctx = f.task.tweets[f.task.test[i].tweet_pos];
-    const Matrix probs = model->PredictDynamicBatch(ctx, users);
-    for (size_t s = i; s < j; ++s) {
-      const Vec one = model->PredictDynamic(ctx, f.task.test[s].user_features);
-      for (size_t m = 0; m < one.size(); ++m) {
-        EXPECT_EQ(probs.Row(s - i)[m], one[m]);
+    // Per-interval rows too, through the public batched API.
+    ScratchArena arena;
+    for (size_t i = 0; i < f.task.test.size();) {
+      size_t j = i + 1;
+      while (j < f.task.test.size() &&
+             f.task.test[j].tweet_pos == f.task.test[i].tweet_pos) {
+        ++j;
       }
+      std::vector<const double*> rows;
+      for (size_t s = i; s < j; ++s) {
+        rows.push_back(f.task.test[s].user_features.data());
+      }
+      const TweetContext& ctx = f.task.tweets[f.task.test[i].tweet_pos];
+      arena.Reset();
+      Vec probs((j - i) * J);
+      model->PredictDynamicRows(ctx, rows.data(), j - i, probs.data(),
+                                &arena);
+      for (size_t s = i; s < j; ++s) {
+        const Vec one =
+            model->PredictDynamic(ctx, f.task.test[s].user_features);
+        ASSERT_EQ(one.size(), J);
+        for (size_t m = 0; m < J; ++m) {
+          EXPECT_EQ(probs[(s - i) * J + m], one[m])
+              << "use_exogenous=" << use_exogenous << " candidate " << s
+              << " interval " << m;
+        }
+      }
+      i = j;
     }
-    i = j;
   }
 }
 
@@ -590,25 +546,33 @@ TEST(ScoringEngineTest, CacheStatsTrackHitsAndRepeatRequestsHit) {
 
 // The acceptance bar for the checkpoint layer: save -> load -> score is
 // bit-exact for both RETINA heads, through the serialized byte stream.
+// Bundles saved while RetinaOptions still had a macro-batch knob carry a
+// retina/options/batch_groups entry; such a checkpoint must load and
+// score the same.
 void CheckRetinaRoundTrip(bool dynamic) {
   auto& f = SharedFixture();
   const auto model = TrainModel(f.task, dynamic);
-  io::Checkpoint ckpt;
-  ASSERT_TRUE(model->Save(&ckpt).ok());
-  auto reloaded =
-      io::Checkpoint::DeserializeFromBytes(ckpt.SerializeToBytes());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  auto loaded = Retina::Load(reloaded.ValueOrDie());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto loaded_model = std::move(loaded).ValueOrDie();
-
-  EXPECT_EQ(loaded_model->options().dynamic, dynamic);
-  EXPECT_EQ(loaded_model->input_dim(), model->input_dim());
   const Vec reference = model->ScoreCandidates(f.task, f.task.test);
-  const Vec scored = loaded_model->ScoreCandidates(f.task, f.task.test);
-  ASSERT_EQ(scored.size(), reference.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(scored[i], reference[i]) << "candidate " << i;
+  for (const bool legacy_batch_groups : {false, true}) {
+    io::Checkpoint ckpt;
+    ASSERT_TRUE(model->Save(&ckpt).ok());
+    if (legacy_batch_groups) ckpt.PutI64("retina/options/batch_groups", 1);
+    auto reloaded =
+        io::Checkpoint::DeserializeFromBytes(ckpt.SerializeToBytes());
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    auto loaded = Retina::Load(reloaded.ValueOrDie());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const auto loaded_model = std::move(loaded).ValueOrDie();
+
+    EXPECT_EQ(loaded_model->options().dynamic, dynamic);
+    EXPECT_EQ(loaded_model->input_dim(), model->input_dim());
+    const Vec scored = loaded_model->ScoreCandidates(f.task, f.task.test);
+    ASSERT_EQ(scored.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(scored[i], reference[i])
+          << "legacy_batch_groups=" << legacy_batch_groups << " candidate "
+          << i;
+    }
   }
 }
 

@@ -850,6 +850,24 @@ TEST(RequestHandlerTest, InvalidRequestInBatchErrorsAloneExactly) {
   ASSERT_EQ(batched[2].code, ResponseCode::kOk) << batched[2].message;
   ExpectBitIdentical(batched[2].scores, DirectScores(f, good_b),
                      "neighbor after invalid batch member");
+
+  // The same response vector answers an all-valid batch next: the slot
+  // that held the error must not keep it.
+  ScoreRequest good_c = good_b;
+  good_c.request_id = 4;
+  good_c.users = {6, 7};
+  ptrs = {&good_a, &good_c, &good_b};
+  handler->HandleScoreBatch(0, ptrs, &batched);
+  ASSERT_EQ(batched.size(), 3u);
+  const ScoreRequest* want[] = {&good_a, &good_c, &good_b};
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(batched[i].code, ResponseCode::kOk)
+        << "reused slot " << i << ": " << batched[i].message;
+    EXPECT_EQ(batched[i].request_id, want[i]->request_id);
+    EXPECT_TRUE(batched[i].message.empty());
+    ExpectBitIdentical(batched[i].scores, DirectScores(f, *want[i]),
+                       "reused slot " + std::to_string(i));
+  }
 }
 
 TEST(RequestHandlerTest, MixedTweetBatchFallsBackByteIdentically) {

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/sparse_vec.h"
 #include "store/bloom.h"
@@ -23,6 +24,17 @@
 
 namespace retina::store {
 namespace {
+
+/// The store's counts live only in the process-wide registry, which counts
+/// in every build: exact pins read the growth of counter `name` since
+/// `before`.
+uint64_t CounterSince(const obs::RegistrySnapshot& before,
+                      const std::string& name) {
+  const obs::RegistrySnapshot delta = obs::Registry::SnapshotDelta(
+      before, obs::Registry::Global().TakeSnapshot());
+  const auto it = delta.counters.find(name);
+  return it == delta.counters.end() ? 0 : it->second;
+}
 
 // ---------------------------------------------------------------- Bloom --
 
@@ -175,6 +187,7 @@ TEST_F(FeatureStoreTest, RoundTripsEveryEntryBitExact) {
   EXPECT_EQ(store->dim(), dim_);
   EXPECT_EQ(store->num_entries(), n);
   EXPECT_EQ(store->num_blocks(), (n + 15) / 16);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   for (size_t u = 0; u < n; ++u) {
     SparseVec out;
     LookupOutcome outcome;
@@ -186,10 +199,11 @@ TEST_F(FeatureStoreTest, RoundTripsEveryEntryBitExact) {
     // Bitwise, not approximate: values are stored as IEEE-754 bit patterns.
     EXPECT_EQ(out.values(), want.values());
   }
-  EXPECT_EQ(store->stats().found, n);
-  EXPECT_EQ(store->stats().lookups, n);
+  EXPECT_EQ(CounterSince(before, "store.found"), n);
+  EXPECT_EQ(CounterSince(before, "store.lookups"), n);
   // Every block verified its checksum exactly once.
-  EXPECT_EQ(store->stats().blocks_verified, store->num_blocks());
+  EXPECT_EQ(CounterSince(before, "store.blocks_verified"),
+            store->num_blocks());
 }
 
 TEST_F(FeatureStoreTest, LookupOutcomeTaxonomy) {
@@ -199,11 +213,12 @@ TEST_F(FeatureStoreTest, LookupOutcomeTaxonomy) {
   const auto& store = opened.ValueOrDie();
   SparseVec out;
   LookupOutcome outcome;
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
 
   // Beyond every block's range: resolved by the index alone.
   ASSERT_TRUE(store->Lookup(500, &out, &outcome).ok());
   EXPECT_EQ(outcome, LookupOutcome::kAbsentRange);
-  EXPECT_EQ(store->stats().range_skips, 1u);
+  EXPECT_EQ(CounterSince(before, "store.range_skips"), 1u);
 
   // In range but absent (ids not divisible by 3): Bloom skip or, on a
   // false positive, an in-block miss — never kFound, never an error.
@@ -214,8 +229,9 @@ TEST_F(FeatureStoreTest, LookupOutcomeTaxonomy) {
     bloom_skips += outcome == LookupOutcome::kAbsentBloom;
     block_misses += outcome == LookupOutcome::kAbsentBlock;
   }
-  EXPECT_EQ(store->stats().bloom_skips, bloom_skips);
-  EXPECT_EQ(store->stats().bloom_false_positives, block_misses);
+  EXPECT_EQ(CounterSince(before, "store.bloom.skips"), bloom_skips);
+  EXPECT_EQ(CounterSince(before, "store.bloom.false_positives"),
+            block_misses);
   // At 10 bits/key the Bloom filters must carry the overwhelming majority.
   EXPECT_GT(bloom_skips, block_misses);
 }

@@ -253,7 +253,7 @@ Status SendScoreRequest(int fd, serve::ScoreRequest req) {
   obs::SetCurrentTraceContext(minted);
   Status st;
   {
-    obs::TraceSpan span("driver.send");
+    RETINA_OBS_SPAN("driver.send");
     const obs::TraceContext inner = obs::CurrentTraceContext();
     req.trace_id = inner.trace_id;
     req.span_id = inner.span_id;  // the driver.send span itself
