@@ -132,8 +132,6 @@ void SoftmaxInPlace(double* v, size_t n) {
   for (size_t i = 0; i < n; ++i) v[i] /= total;
 }
 
-void SoftmaxInPlace(Vec* v) { SoftmaxInPlace(v->data(), v->size()); }
-
 double Sigmoid(double x) {
   if (x >= 0.0) {
     const double z = std::exp(-std::min(x, 500.0));

@@ -7,24 +7,32 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/parallel.h"
+#include "common/simd.h"
 #include "common/trace.h"
 
 namespace retina::core {
 
 namespace {
 
-// Candidates per work chunk when splitting one tweet group. Groups carry at
-// most max_candidates (~48) candidates, so a grain of 8 yields up to six
-// chunks — enough slack for the pool without drowning in replica copies.
+// Candidates per summation chunk when splitting one tweet group: a step's
+// loss and gradient sums add up from zero within each chunk, then chunk by
+// chunk in order. The layout depends only on the group size, so every
+// thread count produces the same sums.
 constexpr size_t kCandidateGrain = 8;
 
-// Adds each replica parameter's gradient into the matching master
-// parameter. Called once per chunk, in chunk order.
-void AccumulateGrads(const std::vector<nn::Param*>& master,
-                     const std::vector<nn::Param*>& replica) {
-  for (size_t i = 0; i < master.size(); ++i) {
-    master[i]->grad.Axpy(1.0, replica[i]->grad);
-  }
+// Multiply-adds a first-layer pool task carries at least: about ten
+// microseconds on one AVX2 core. That outweighs taking a task from the
+// pool and leaves blocks small enough for the pool to balance a group.
+constexpr size_t kMinTaskMacs = size_t{1} << 17;
+
+// The recurrent head's tensors, in one fixed order, so a chunk's copy
+// pairs with the model's own tensor by index.
+std::vector<nn::Param*> RecurrentHeadParams(nn::RecurrentCell* rnn,
+                                            nn::Dense* head) {
+  nn::ParamRegistry registry;
+  rnn->RegisterParams(&registry, "rnn");
+  head->RegisterParams(&registry, "head");
+  return registry.params();
 }
 
 // Contiguous [begin, end) runs of the same tweet_pos. The task builder
@@ -71,42 +79,29 @@ const double* const* CandidateRows(
 
 }  // namespace
 
-// Chunk-local copies of the trainable layers below the attention, which
-// every chunk shares: its forward runs once per group and its backward
-// once, in the reducer.
-struct Retina::Replica {
-  std::unique_ptr<nn::Dense> ff1, head;
-  std::unique_ptr<nn::RecurrentCell> rnn;
-  Vec dexo;          // attention-output gradient
-  double loss = 0.0;
+// One training step's buffers, sized for the largest tweet group (n rows)
+// and taken once per Train on the calling thread. The row buffers start on
+// a cache line, so their rows sit at the same offsets in every run.
+struct Retina::StepScratch {
+  StepScratch(size_t n, size_t D, size_t H, size_t E)
+      : rows(n), x(n * D), h(n * H), dh(n * H), concat(n * (H + E)),
+        dconcat(n * (H + E)), logits(n), dlogits(n),
+        loss(par::MakeChunks(n, kCandidateGrain).size()),
+        dexo(loss.size() * E), dexo_sum(E),
+        partial(std::max(D, H + E)) {}
 
-  std::vector<nn::Param*> Params() const {
-    return LayerParams(ff1.get(), rnn.get(), head.get());
-  }
-
-  // Flat tensor list over a set of live layers, in a fixed order shared
-  // by the master and every replica so gradient reduction pairs master
-  // and replica tensors by index. A null rnn is skipped on both sides
-  // identically.
-  static std::vector<nn::Param*> LayerParams(nn::Dense* ff1,
-                                             nn::RecurrentCell* rnn,
-                                             nn::Dense* head) {
-    nn::ParamRegistry registry;
-    ff1->RegisterParams(&registry, "ff1");
-    if (rnn != nullptr) rnn->RegisterParams(&registry, "rnn");
-    head->RegisterParams(&registry, "head");
-    return registry.params();
-  }
-};
-
-struct Retina::CandidateForward {
-  Vec x;       // layer-normalized [user_features ; content]
-  Vec h_pre;   // ff1 pre-activation
-  Vec h;       // ReLU(h_pre)
-  Vec concat;  // static: the head input [h ; exo]
-  std::vector<nn::RecCache> caches;  // dynamic: one per interval
-  std::vector<Vec> hidden;           // dynamic: per-interval cell output
-  Vec probs;   // static: {P}; dynamic: P_m per interval
+  std::vector<const double*> rows;  // the group's user feature rows
+  AlignedVec x;        // n x input_dim: layer-normalized inputs
+  AlignedVec h;        // n x H: ReLU'd ff1 rows
+  AlignedVec dh;       // n x H: ReLU-masked ff1 output gradients
+  AlignedVec concat;   // static, n x (H + E): head inputs [h ; exo]
+  AlignedVec dconcat;  // static, n x (H + E): head input gradients
+  Vec logits;          // static, n
+  Vec dlogits;         // static, n
+  Vec loss;            // per summation chunk: its loss sum
+  Vec dexo;            // per summation chunk: its attention-output gradient
+  Vec dexo_sum;        // E: the group's attention-output gradient
+  AlignedVec partial;  // one chunk's weight-row sum
 };
 
 Retina::Retina(size_t user_dim, size_t content_dim, size_t embed_dim,
@@ -166,145 +161,224 @@ void Retina::StepInputInto(const double* h, const double* exo, size_t E,
                   static_cast<double>(num_intervals_);
 }
 
-void Retina::ForwardCandidate(const nn::Dense& ff1, const nn::Dense& head,
-                              const nn::RecurrentCell* rnn,
-                              const TweetContext& ctx,
-                              const Vec& user_features, const Vec& exo,
-                              CandidateForward* fwd) const {
-  fwd->x = nn::LayerNorm(Concat(user_features, ctx.content));
-  fwd->h_pre = ff1.Forward(fwd->x);
-  fwd->h = nn::Relu(fwd->h_pre);
-  if (!options_.dynamic) {
-    fwd->concat = Concat(fwd->h, exo);
-    fwd->probs = {Sigmoid(head.Forward(fwd->concat)[0])};
-    return;
+double* Retina::ExoInto(const TweetContext& ctx, ScratchArena* arena) const {
+  double* exo = arena->AllocDoubles(ExoDim());
+  if (attention_ != nullptr) {
+    // Pure function of the tweet context — one forward serves the batch.
+    attention_->ForwardInto(ctx.embedding, ctx.news_window, arena, exo);
   }
-  // Unroll the recurrent cell over intervals. The observable output is
-  // the first H entries of the cell state.
-  const size_t H = options_.hidden;
-  const size_t J = num_intervals_;
-  fwd->caches.assign(J, {});
-  fwd->hidden.assign(J, {});
-  fwd->probs.assign(J, 0.0);
-  Vec in(H + exo.size() + 2);
-  Vec state(rnn->state_dim(), 0.0);
-  for (size_t j = 0; j < J; ++j) {
-    StepInputInto(fwd->h.data(), exo.data(), exo.size(), j, in.data());
-    state = rnn->Forward(in, state, &fwd->caches[j]);
-    fwd->hidden[j].assign(state.begin(), state.begin() + H);
-    fwd->probs[j] = Sigmoid(head.Forward(fwd->hidden[j])[0]);
-  }
+  return exo;
 }
 
-double Retina::TrainCandidate(nn::Dense* ff1, nn::Dense* head,
-                              nn::RecurrentCell* rnn,
-                              const RetweetCandidate& cand,
-                              const TweetContext& ctx, const Vec& exo,
-                              double inv_batch, const nn::WeightedBce& loss,
-                              Vec* dexo) const {
-  const size_t H = options_.hidden;
-  const size_t J = num_intervals_;
-  const bool has_exo = !exo.empty();
-  double sample_loss = 0.0;
-
-  CandidateForward fwd;
-  ForwardCandidate(*ff1, *head, rnn, ctx, cand.user_features, exo, &fwd);
-
-  Vec dh(H, 0.0);
-  if (!options_.dynamic) {
-    const double p = fwd.probs[0];
-    sample_loss = inv_batch * loss.Loss(p, cand.label);
-    const double dlogit = inv_batch * loss.GradLogit(p, cand.label);
-    const Vec dconcat = head->Backward(fwd.concat, {dlogit});
-    for (size_t k = 0; k < H; ++k) dh[k] += dconcat[k];
-    if (has_exo) {
-      for (size_t k = 0; k < H; ++k) (*dexo)[k] += dconcat[H + k];
-    }
-  } else {
-    std::vector<double> dlogits(J);
-    for (size_t j = 0; j < J; ++j) {
-      const double p = fwd.probs[j];
-      sample_loss += inv_batch * loss.Loss(p, cand.interval_labels[j]);
-      dlogits[j] = inv_batch * loss.GradLogit(p, cand.interval_labels[j]);
-    }
-    // BPTT.
-    Vec dstate_carry(rnn->state_dim(), 0.0);
-    for (size_t j = J; j-- > 0;) {
-      const Vec dh_head = head->Backward(fwd.hidden[j], {dlogits[j]});
-      Vec dstate = dstate_carry;
-      for (size_t k = 0; k < H; ++k) dstate[k] += dh_head[k];
-      Vec dx;
-      rnn->Backward(fwd.caches[j], dstate, &dx, &dstate_carry);
-      for (size_t k = 0; k < H; ++k) dh[k] += dx[k];
-      if (has_exo) {
-        for (size_t k = 0; k < H; ++k) (*dexo)[k] += dx[H + k];
-      }
-    }
+void Retina::FirstLayerRows(const TweetContext& ctx,
+                            const double* const* user_rows, size_t n,
+                            double* x, double* h) const {
+  // Feature rows: user block + tweet content, layer-normalized in place —
+  // Concat's copies followed by LayerNorm's loops, without the Vecs.
+  const size_t user_dim = input_dim_ - ctx.content.size();
+  for (size_t i = 0; i < n; ++i) {
+    double* row = x + i * input_dim_;
+    std::copy(user_rows[i], user_rows[i] + user_dim, row);
+    std::copy(ctx.content.begin(), ctx.content.end(), row + user_dim);
+    nn::LayerNormInPlace(row, input_dim_);
   }
-  const Vec dh_pre = nn::ReluBackward(fwd.h_pre, dh);
-  ff1->Backward(fwd.x, dh_pre);
-  return sample_loss;
+  ff1_->ForwardBatchRaw(x, n, h);
+  for (size_t i = 0; i < n * options_.hidden; ++i) h[i] = std::max(0.0, h[i]);
+}
+
+void Retina::UnrollCandidate(const nn::RecurrentCell& rnn,
+                             const nn::Dense& head, const double* h,
+                             const Vec& exo, double* probs,
+                             std::vector<nn::RecCache>* caches,
+                             std::vector<Vec>* hidden) const {
+  // The observable output is the first H entries of the cell state.
+  const size_t H = options_.hidden;
+  Vec in(H + exo.size() + 2);
+  Vec state(rnn.state_dim(), 0.0);
+  Vec out;
+  for (size_t j = 0; j < num_intervals_; ++j) {
+    StepInputInto(h, exo.data(), exo.size(), j, in.data());
+    state = rnn.Forward(in, state, caches != nullptr ? &(*caches)[j] : nullptr);
+    out.assign(state.begin(), state.begin() + H);
+    probs[j] = Sigmoid(head.Forward(out)[0]);
+    if (hidden != nullptr) (*hidden)[j] = out;
+  }
 }
 
 double Retina::TrainBatch(const RetweetTask& task, size_t begin, size_t end,
-                          const nn::WeightedBce& loss) {
-  // The attention forward is shared, parallelism splits the group's
-  // candidate set. Chunk layout depends only on the candidate count, so
-  // any thread count produces the same chunk-ordered gradient sums.
+                          const nn::WeightedBce& loss, StepScratch* s) {
   const auto& train = task.train;
+  const size_t n = end - begin;
+  const size_t D = input_dim_;
   const size_t H = options_.hidden;
+  const size_t E = ExoDim();
+  const size_t C = H + E;
   const TweetContext& ctx = task.tweets[train[begin].tweet_pos];
   // Mean (not summed) gradient over the mini-batch keeps step sizes
   // independent of the candidate-set size.
-  const double inv_batch = 1.0 / static_cast<double>(end - begin);
-  double batch_loss = 0.0;
+  const double inv_batch = 1.0 / static_cast<double>(n);
 
+  for (size_t i = 0; i < n; ++i) {
+    s->rows[i] = train[begin + i].user_features.data();
+  }
+  // The step's one pool dispatch for RETINA-S: the attention forward, with
+  // its cache, as the first task, and the first layer over blocks of rows
+  // as the rest. Every later phase runs on the calling thread: each extra
+  // dispatch parks and wakes the caller once more per step, and the time
+  // that takes follows the machine's load.
   nn::AttentionCache att_cache;
   Vec exo;
-  if (attention_ != nullptr) {
-    exo = attention_->Forward(ctx.embedding, ctx.news_window, &att_cache);
-  }
-
-  const size_t n = end - begin;
+  const size_t att_tasks = attention_ != nullptr ? 1 : 0;
+  const size_t block = std::max<size_t>(1, kMinTaskMacs / (D * H));
+  const size_t blocks = (n + block - 1) / block;
+  // Rows that fit one block are less work than a dispatch: run inline.
+  const size_t tasks = att_tasks + blocks;
+  par::ParallelFor(tasks, blocks > 1 ? 1 : tasks, [&](size_t t) {
+    if (t < att_tasks) {
+      exo = attention_->Forward(ctx.embedding, ctx.news_window, &att_cache);
+      return;
+    }
+    const size_t b = (t - att_tasks) * block;
+    const size_t e = std::min(n, b + block);
+    FirstLayerRows(ctx, s->rows.data() + b, e - b, s->x.data() + b * D,
+                   s->h.data() + b * H);
+  });
   const std::vector<par::ChunkRange> chunks =
       par::MakeChunks(n, kCandidateGrain);
-  Vec dexo(H, 0.0);
-  if (chunks.size() <= 1) {
-    // One chunk: train straight against the master layers. Identical
-    // arithmetic to the replica path (replica grads start at the
-    // master's zeros), minus the copy.
-    for (size_t s = begin; s < end; ++s) {
-      batch_loss += TrainCandidate(ff1_.get(), head_.get(), rnn_.get(),
-                                   train[s], ctx, exo, inv_batch, loss,
-                                   &dexo);
+  std::fill(s->dexo.begin(), s->dexo.begin() + chunks.size() * E, 0.0);
+
+  // The recurrent head's BPTT runs per candidate: chunk 0 trains the
+  // model's own cell and head, every later chunk a copy taken here, whose
+  // gradients add into the model's in chunk order below.
+  std::vector<std::unique_ptr<nn::RecurrentCell>> rnns;
+  std::vector<std::unique_ptr<nn::Dense>> heads;
+  if (options_.dynamic) {
+    rnns.resize(chunks.size());
+    heads.resize(chunks.size());
+    for (size_t c = 1; c < chunks.size(); ++c) {
+      rnns[c] = rnn_->Clone();
+      heads[c] = std::make_unique<nn::Dense>(*head_);
     }
-  } else {
-    std::vector<Replica> reps(chunks.size());
-    par::ParallelForChunks(n, kCandidateGrain,
-                           [&](const par::ChunkRange& chunk) {
-      Replica& rep = reps[chunk.index];
-      rep.ff1 = std::make_unique<nn::Dense>(*ff1_);
-      rep.head = std::make_unique<nn::Dense>(*head_);
-      if (rnn_ != nullptr) rep.rnn = rnn_->Clone();
-      rep.dexo.assign(H, 0.0);
-      for (size_t s = begin + chunk.begin; s < begin + chunk.end; ++s) {
-        rep.loss += TrainCandidate(rep.ff1.get(), rep.head.get(),
-                                   rep.rnn.get(), train[s], ctx, exo,
-                                   inv_batch, loss, &rep.dexo);
+  }
+
+  // Static head over chunk ch's rows: loss, dlogit, and the head input
+  // gradient split into the ReLU-masked ff1 output gradient and the
+  // chunk's attention-output gradient.
+  const auto static_chunk = [&](const par::ChunkRange& ch) {
+    double* concat = s->concat.data();
+    for (size_t i = ch.begin; i < ch.end; ++i) {
+      std::copy(s->h.data() + i * H, s->h.data() + (i + 1) * H,
+                concat + i * C);
+      std::copy(exo.begin(), exo.end(), concat + i * C + H);
+    }
+    head_->ForwardBatchRaw(concat + ch.begin * C, ch.size(),
+                           s->logits.data() + ch.begin);
+    double* dexo = s->dexo.data() + ch.index * E;
+    double chunk_loss = 0.0;
+    for (size_t i = ch.begin; i < ch.end; ++i) {
+      const int label = train[begin + i].label;
+      const double p = Sigmoid(s->logits[i]);
+      chunk_loss += inv_batch * loss.Loss(p, label);
+      s->dlogits[i] = inv_batch * loss.GradLogit(p, label);
+      double* dconcat = s->dconcat.data() + i * C;
+      head_->InputGradRaw(&s->dlogits[i], dconcat);
+      const double* hrow = s->h.data() + i * H;
+      double* dhrow = s->dh.data() + i * H;
+      for (size_t k = 0; k < H; ++k) {
+        dhrow[k] = hrow[k] > 0.0 ? dconcat[k] : 0.0;
+      }
+      for (size_t k = 0; k < E; ++k) dexo[k] += dconcat[H + k];
+    }
+    return chunk_loss;
+  };
+
+  // Recurrent head over chunk ch's rows: per candidate, the unroll and
+  // BPTT against the chunk's cell and head.
+  const auto recurrent_chunk = [&](const par::ChunkRange& ch) {
+    nn::RecurrentCell* rnn = ch.index == 0 ? rnn_.get() : rnns[ch.index].get();
+    nn::Dense* head = ch.index == 0 ? head_.get() : heads[ch.index].get();
+    const size_t J = num_intervals_;
+    std::vector<nn::RecCache> caches(J);
+    std::vector<Vec> hidden(J);
+    Vec probs(J), dlogits(J);
+    double* dexo = s->dexo.data() + ch.index * E;
+    double chunk_loss = 0.0;
+    for (size_t i = ch.begin; i < ch.end; ++i) {
+      const RetweetCandidate& cand = train[begin + i];
+      const double* hrow = s->h.data() + i * H;
+      UnrollCandidate(*rnn, *head, hrow, exo, probs.data(), &caches, &hidden);
+      double sample_loss = 0.0;
+      for (size_t j = 0; j < J; ++j) {
+        const int label = cand.interval_labels[j];
+        sample_loss += inv_batch * loss.Loss(probs[j], label);
+        dlogits[j] = inv_batch * loss.GradLogit(probs[j], label);
+      }
+      double* dhrow = s->dh.data() + i * H;
+      std::fill(dhrow, dhrow + H, 0.0);
+      Vec dstate_carry(rnn->state_dim(), 0.0);
+      for (size_t j = J; j-- > 0;) {
+        const Vec dh_head = head->Backward(hidden[j], {dlogits[j]});
+        Vec dstate = dstate_carry;
+        for (size_t k = 0; k < H; ++k) dstate[k] += dh_head[k];
+        Vec dx;
+        rnn->Backward(caches[j], dstate, &dx, &dstate_carry);
+        for (size_t k = 0; k < H; ++k) dhrow[k] += dx[k];
+        for (size_t k = 0; k < E; ++k) dexo[k] += dx[H + k];
+      }
+      for (size_t k = 0; k < H; ++k) {
+        if (!(hrow[k] > 0.0)) dhrow[k] = 0.0;
+      }
+      chunk_loss += sample_loss;
+    }
+    return chunk_loss;
+  };
+
+  // Head and head backward per summation chunk: the static head inline,
+  // the recurrent head's BPTT one pool task per chunk.
+  if (options_.dynamic) {
+    par::ParallelForChunks(chunks.size(), 1, [&](const par::ChunkRange& t) {
+      for (size_t c = t.begin; c < t.end; ++c) {
+        s->loss[c] = recurrent_chunk(chunks[c]);
       }
     });
-    // Ordered reduction: chunk index order, so the gradient sums do not
-    // depend on scheduling.
-    const std::vector<nn::Param*> master =
-        Replica::LayerParams(ff1_.get(), rnn_.get(), head_.get());
-    for (const Replica& rep : reps) {
-      AccumulateGrads(master, rep.Params());
-      Axpy(1.0, rep.dexo, &dexo);
-      batch_loss += rep.loss;
+  } else {
+    for (const par::ChunkRange& ch : chunks) {
+      s->loss[ch.index] = static_chunk(ch);
+    }
+  }
+
+  // Weight and bias gradients row by row: ff1's H rows, then the static
+  // head's one row.
+  const size_t chunk = chunks.front().size();
+  for (size_t r = 0; r < H; ++r) {
+    ff1_->BackwardRow(r, s->x.data(), s->dh.data(), n, chunk,
+                      s->partial.data());
+  }
+  if (!options_.dynamic) {
+    head_->BackwardRow(0, s->concat.data(), s->dlogits.data(), n, chunk,
+                       s->partial.data());
+  }
+
+  // Chunk partials in chunk order.
+  double batch_loss = 0.0;
+  std::fill(s->dexo_sum.begin(), s->dexo_sum.end(), 0.0);
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    batch_loss += s->loss[c];
+    simd::Axpy(1.0, s->dexo.data() + c * E, s->dexo_sum.data(), E);
+  }
+  if (options_.dynamic && chunks.size() > 1) {
+    const std::vector<nn::Param*> model =
+        RecurrentHeadParams(rnn_.get(), head_.get());
+    for (size_t c = 1; c < chunks.size(); ++c) {
+      const std::vector<nn::Param*> copy =
+          RecurrentHeadParams(rnns[c].get(), heads[c].get());
+      for (size_t p = 0; p < model.size(); ++p) {
+        model[p]->grad.Axpy(1.0, copy[p]->grad);
+      }
     }
   }
   if (attention_ != nullptr && !att_cache.weights.empty()) {
-    attention_->Backward(att_cache, dexo);
+    attention_->Backward(att_cache, s->dexo_sum);
   }
   return batch_loss;
 }
@@ -331,6 +405,11 @@ Status Retina::Train(const RetweetTask& task) {
   // Contiguous runs of the same tweet form natural mini-batches sharing the
   // attention computation.
   std::vector<std::pair<size_t, size_t>> groups = GroupByTweet(train);
+  size_t max_group = 0;
+  for (const auto& [begin, end] : groups) {
+    max_group = std::max(max_group, end - begin);
+  }
+  StepScratch scratch(max_group, input_dim_, options_.hidden, ExoDim());
 
   Rng rng(options_.seed ^ 0xB0B0B0B0ULL);
   epoch_losses_.assign(static_cast<size_t>(std::max(0, options_.epochs)),
@@ -375,12 +454,12 @@ Status Retina::Train(const RetweetTask& task) {
     size_t steps = 0;
     for (const auto& [begin, end] : groups) {
       if (!obs_on) {
-        epoch_loss += TrainBatch(task, begin, end, loss);
+        epoch_loss += TrainBatch(task, begin, end, loss, &scratch);
         optimizer_->Step();
         continue;
       }
       const auto step_start = std::chrono::steady_clock::now();
-      epoch_loss += TrainBatch(task, begin, end, loss);
+      epoch_loss += TrainBatch(task, begin, end, loss, &scratch);
       double sq = 0.0;
       for (const nn::Param* p : master_params) {
         for (const double g : p->grad.data()) sq += g * g;
@@ -415,9 +494,13 @@ Vec Retina::PredictDynamic(const TweetContext& ctx,
   if (attention_ != nullptr) {
     exo = attention_->Forward(ctx.embedding, ctx.news_window, nullptr);
   }
-  CandidateForward fwd;
-  ForwardCandidate(*ff1_, *head_, rnn_.get(), ctx, user_features, exo, &fwd);
-  return std::move(fwd.probs);
+  const Vec h = nn::Relu(
+      ff1_->Forward(nn::LayerNorm(Concat(user_features, ctx.content))));
+  if (!options_.dynamic) return {Sigmoid(head_->Forward(Concat(h, exo))[0])};
+  Vec probs(num_intervals_);
+  UnrollCandidate(*rnn_, *head_, h.data(), exo, probs.data(), nullptr,
+                  nullptr);
+  return probs;
 }
 
 double Retina::PredictScore(const TweetContext& ctx,
@@ -425,32 +508,6 @@ double Retina::PredictScore(const TweetContext& ctx,
   const Vec probs = PredictDynamic(ctx, user_features);
   if (!options_.dynamic) return probs[0];
   return AnyIntervalProbability(probs.data(), probs.size());
-}
-
-const double* Retina::FirstLayerRows(const TweetContext& ctx,
-                                     const double* const* user_rows,
-                                     size_t n, ScratchArena* arena,
-                                     double** exo) const {
-  const size_t H = options_.hidden;
-  *exo = arena->AllocDoubles(ExoDim());
-  if (attention_ != nullptr) {
-    // Pure function of the tweet context — one forward serves the batch.
-    attention_->ForwardInto(ctx.embedding, ctx.news_window, arena, *exo);
-  }
-  // Feature rows: user block + tweet content, layer-normalized in place —
-  // Concat's copies followed by LayerNorm's loops, without the Vecs.
-  const size_t user_dim = input_dim_ - ctx.content.size();
-  double* x = arena->AllocDoubles(n * input_dim_);
-  for (size_t i = 0; i < n; ++i) {
-    double* row = x + i * input_dim_;
-    std::copy(user_rows[i], user_rows[i] + user_dim, row);
-    std::copy(ctx.content.begin(), ctx.content.end(), row + user_dim);
-    nn::LayerNormInPlace(row, input_dim_);
-  }
-  double* h = arena->AllocDoubles(n * H);
-  ff1_->ForwardBatchRaw(x, n, h);
-  for (size_t i = 0; i < n * H; ++i) h[i] = std::max(0.0, h[i]);
-  return h;
 }
 
 void Retina::ScoreBatchRows(const TweetContext& ctx,
@@ -468,8 +525,10 @@ void Retina::ScoreBatchRows(const TweetContext& ctx,
   }
   const size_t H = options_.hidden;
   const size_t E = ExoDim();
-  double* exo = nullptr;
-  const double* h = FirstLayerRows(ctx, user_rows, n, arena, &exo);
+  const double* exo = ExoInto(ctx, arena);
+  double* x = arena->AllocDoubles(n * input_dim_);
+  double* h = arena->AllocDoubles(n * H);
+  FirstLayerRows(ctx, user_rows, n, x, h);
   double* concat = arena->AllocDoubles(n * (H + E));
   for (size_t i = 0; i < n; ++i) {
     const double* hrow = h + i * H;
@@ -489,8 +548,10 @@ void Retina::PredictDynamicRows(const TweetContext& ctx,
   const size_t H = options_.hidden;
   const size_t E = ExoDim();
   const size_t J = num_intervals_;
-  double* exo = nullptr;
-  const double* h = FirstLayerRows(ctx, user_rows, n, arena, &exo);
+  const double* exo = ExoInto(ctx, arena);
+  double* x = arena->AllocDoubles(n * input_dim_);
+  double* h = arena->AllocDoubles(n * H);
+  FirstLayerRows(ctx, user_rows, n, x, h);
   // The recurrent unroll stays per candidate (its arithmetic is inherently
   // sequential), but running all candidates in interval lockstep lets the
   // head score each interval's batch as one GEMM.

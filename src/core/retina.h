@@ -17,14 +17,15 @@
 // accumulating its gradient across the batch (paper batch sizes: 16 static
 // / 32 dynamic — one tweet's candidate set is the same order of magnitude).
 //
-// The forward is written once per shape. Per candidate, one pass keeps its
-// intermediates: training backpropagates through it, and PredictScore /
-// PredictDynamic read its probabilities, so the serial reference every
-// batched pin compares against is the pass training differentiates. Per
-// tweet group, one raw-row pass (attention once, arena rows, LayerNorm,
-// one ff1 GEMM, ReLU) feeds the static head (ScoreBatchRows) and the GRU
-// unroll (PredictDynamicRows); every batched entry point runs it and
-// matches the per-candidate pass bit for bit.
+// The forward is written once per shape. Per candidate, PredictScore /
+// PredictDynamic run the serial reference every batched pin compares
+// against. Per tweet group, one raw-row first layer (arena rows,
+// LayerNorm, one ff1 GEMM, ReLU) feeds the static head (ScoreBatchRows)
+// and the GRU unroll (PredictDynamicRows); every batched entry point and
+// the training step run it and match the per-candidate pass bit for bit.
+// Training differentiates that batched pass: ff1's and the static head's
+// weight gradients are computed by output row, RETINA-D's BPTT per
+// candidate.
 //
 // Ablation (†): use_exogenous=false removes the attention block, matching
 // RETINA-S† / RETINA-D† in Table VI.
@@ -81,9 +82,11 @@ class Retina {
   /// Trains on the task's train split.
   Status Train(const RetweetTask& task);
 
-  /// Mean per-candidate training loss of each epoch of the last Train
-  /// call. Chunk-ordered reduction makes the trajectory bit-identical at
-  /// any thread count — the determinism regression tests pin this.
+  /// Training loss of each epoch of the last Train call: the mean over
+  /// tweet groups of each group's mean candidate loss, so a small group
+  /// weighs as much as a large one. Chunk-ordered sums make the trajectory
+  /// bit-identical at any thread count — the determinism regression tests
+  /// pin this.
   const std::vector<double>& epoch_losses() const { return epoch_losses_; }
 
   /// Per-interval probabilities P^{u_j}_m (dynamic mode; the static head
@@ -161,58 +164,51 @@ class Retina {
       const io::Checkpoint& ckpt, const std::string& prefix = "retina/");
 
  private:
-  // Per-chunk model replica for data-parallel gradient accumulation: each
-  // work chunk trains against its own copy of the layers below the shared
-  // attention forward, and the replica gradients are reduced back into
-  // the master parameters in chunk order.
-  struct Replica;
-
-  // One candidate's forward intermediates (see ForwardCandidate).
-  struct CandidateForward;
-
-  // The per-candidate forward against the given layers (master or
-  // replica): [user_features ; ctx.content] -> LayerNorm -> ff1 -> ReLU,
-  // then the sigmoid head over [h ; exo] or the recurrent unroll over
-  // intervals. `exo` is the tweet's attended exogenous vector (empty when
-  // disabled). Keeps every intermediate TrainCandidate's backward reads.
-  void ForwardCandidate(const nn::Dense& ff1, const nn::Dense& head,
-                        const nn::RecurrentCell* rnn, const TweetContext& ctx,
-                        const Vec& user_features, const Vec& exo,
-                        CandidateForward* fwd) const;
-
-  // The batched first layer: the attention output (ExoDim() entries, into
-  // *exo) and the returned n ReLU'd ff1 rows of options_.hidden entries,
-  // all in `arena`.
-  // LayerNorm stays per dense row — its mean/variance must accumulate over
-  // every entry, zeros included, in index order — then ff1 runs as one
-  // GEMM over the batch.
-  const double* FirstLayerRows(const TweetContext& ctx,
-                               const double* const* user_rows, size_t n,
-                               ScratchArena* arena, double** exo) const;
+  // One training step's buffers (see TrainBatch).
+  struct StepScratch;
 
   // Width of the attention output (0 for the † ablation).
   size_t ExoDim() const;
+
+  // The attention output for scoring: ExoDim() entries from `arena`,
+  // computed without a backward cache.
+  double* ExoInto(const TweetContext& ctx, ScratchArena* arena) const;
+
+  // The batched first layer over n raw user rows, into caller-owned
+  // buffers: x receives the layer-normalized [user_row ; ctx.content] rows
+  // (input_dim() entries each) and h the ReLU'd ff1 rows (options_.hidden
+  // entries each). Every scoring entry point and the training step run it.
+  // LayerNorm stays per dense row — its mean/variance must accumulate over
+  // every entry, zeros included, in index order — then ff1 runs as one
+  // GEMM over the rows, each row bit-identical to the per-candidate pass.
+  void FirstLayerRows(const TweetContext& ctx, const double* const* user_rows,
+                      size_t n, double* x, double* h) const;
 
   // Recurrent input at `interval` into `in` (H + E + 2 entries): the
   // ReLU'd ff1 row, the attention output, and the interval encoding.
   void StepInputInto(const double* h, const double* exo, size_t E,
                      size_t interval, double* in) const;
 
-  // Forward + backward for one candidate against the given layers (master
-  // or replica). Accumulates parameter gradients and the attention-output
-  // gradient into `dexo`; returns the candidate's loss scaled by
-  // `inv_batch`.
-  double TrainCandidate(nn::Dense* ff1, nn::Dense* head,
-                        nn::RecurrentCell* rnn, const RetweetCandidate& cand,
-                        const TweetContext& ctx, const Vec& exo,
-                        double inv_batch, const nn::WeightedBce& loss,
-                        Vec* dexo) const;
+  // The recurrent head's per-candidate unroll over intervals from the
+  // ReLU'd ff1 row `h`, against the given cell and head (the model's own,
+  // or a training chunk's copy): probs[j] = P_j. Non-null `caches` and
+  // `hidden` (num_intervals entries each) receive what BPTT reads.
+  void UnrollCandidate(const nn::RecurrentCell& rnn, const nn::Dense& head,
+                       const double* h, const Vec& exo, double* probs,
+                       std::vector<nn::RecCache>* caches,
+                       std::vector<Vec>* hidden) const;
 
-  // Gradient accumulation for one tweet group's train candidates
-  // [begin, end) — the paper's per-tweet step; returns the group's summed
-  // (inv_batch-scaled) loss. Train applies the optimizer step.
+  // The paper's per-tweet step over train candidates [begin, end), one
+  // tweet group: one pool dispatch runs the attention forward (keeping its
+  // cache) alongside the batched first layer over blocks of rows; then the
+  // head per candidate chunk (the recurrent head's BPTT on the pool), and
+  // the weight gradients output row by row. Sums add up from zero within
+  // each chunk of kCandidateGrain candidates, then chunk by chunk in
+  // order, so any thread count yields the same bits. Accumulates the mean
+  // gradient into every parameter and returns the group's mean loss; Train
+  // applies the optimizer step.
   double TrainBatch(const RetweetTask& task, size_t begin, size_t end,
-                    const nn::WeightedBce& loss);
+                    const nn::WeightedBce& loss, StepScratch* scratch);
 
   RetinaOptions options_;
   size_t input_dim_;

@@ -157,7 +157,7 @@ void Checkpoint::PutTensor(const std::string& name, const Matrix& value) {
 
 void Checkpoint::PutVec(const std::string& name, const Vec& value) {
   Matrix m(1, value.size());
-  m.data() = value;
+  m.data().assign(value.begin(), value.end());
   PutTensor(name, m);
 }
 
@@ -227,7 +227,7 @@ Status Checkpoint::GetVec(const std::string& name, Vec* out) const {
   Status error;
   const Entry* e = FindTyped(name, EntryType::kTensor, &error);
   if (e == nullptr) return error;
-  *out = e->tensor.data();
+  out->assign(e->tensor.data().begin(), e->tensor.data().end());
   return Status::OK();
 }
 

@@ -40,25 +40,46 @@ Vec Dense::Backward(const Vec& x, const Vec& dy) {
     for (size_t j = 0; j < x.size(); ++j) grow[j] += dy[i] * x[j];
     b_.grad(0, i) += dy[i];
   }
-  return W_.value.TransposeMatVec(dy);
+  Vec dx(W_.value.cols());
+  InputGradRaw(dy.data(), dx.data());
+  return dx;
+}
+
+void Dense::InputGradRaw(const double* dy, double* dx) const {
+  const size_t in = W_.value.cols();
+  std::fill(dx, dx + in, 0.0);
+  simd::TransposeMatVecAcc(W_.value.Row(0), W_.value.rows(), in, dy, dx);
+}
+
+void Dense::BackwardRow(size_t r, const double* x, const double* dy,
+                        size_t n, size_t chunk, double* partial) {
+  assert(chunk > 0);
+  const size_t in = W_.value.cols();
+  const size_t out = W_.value.rows();
+  double* grow = W_.grad.Row(r);
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    const size_t end = std::min(n, begin + chunk);
+    // A chunk without a nonzero term would add zeros: skip it.
+    bool any = false;
+    double db = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      const double d = dy[i * out + r];
+      if (d == 0.0) continue;
+      if (!any) std::fill(partial, partial + in, 0.0);
+      any = true;
+      // On x86 Axpy's unfused multiply-add is Backward's scalar loop.
+      simd::Axpy(d, x + i * in, partial, in);
+      db += d;
+    }
+    if (!any) continue;
+    simd::Axpy(1.0, partial, grow, in);
+    b_.grad(0, r) += db;
+  }
 }
 
 Vec Relu(const Vec& x) {
   Vec y(x.size());
   for (size_t i = 0; i < x.size(); ++i) y[i] = std::max(0.0, x[i]);
-  return y;
-}
-
-Vec ReluBackward(const Vec& x, const Vec& dy) {
-  assert(x.size() == dy.size());
-  Vec dx(x.size());
-  for (size_t i = 0; i < x.size(); ++i) dx[i] = x[i] > 0.0 ? dy[i] : 0.0;
-  return dx;
-}
-
-Vec SigmoidVec(const Vec& x) {
-  Vec y(x.size());
-  for (size_t i = 0; i < x.size(); ++i) y[i] = Sigmoid(x[i]);
   return y;
 }
 
@@ -82,31 +103,6 @@ void LayerNormInPlace(double* x, size_t n, double eps) {
   const double var = n == 0 ? 0.0 : acc / static_cast<double>(n);
   const double inv = 1.0 / std::sqrt(var + eps);
   for (size_t i = 0; i < n; ++i) x[i] = (x[i] - mu) * inv;
-}
-
-Vec LayerNormBackward(const Vec& x, const Vec& dy, double eps) {
-  assert(x.size() == dy.size());
-  const size_t n = x.size();
-  const double nn = static_cast<double>(n);
-  const double mu = Mean(x);
-  const double var = Variance(x);
-  const double inv = 1.0 / std::sqrt(var + eps);
-  // y_i = (x_i - mu) * inv;  standard layer-norm gradient:
-  // dx = inv * (dy - mean(dy) - y * mean(dy * y))
-  Vec y(n);
-  for (size_t i = 0; i < n; ++i) y[i] = (x[i] - mu) * inv;
-  double mean_dy = 0.0, mean_dyy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    mean_dy += dy[i];
-    mean_dyy += dy[i] * y[i];
-  }
-  mean_dy /= nn;
-  mean_dyy /= nn;
-  Vec dx(n);
-  for (size_t i = 0; i < n; ++i) {
-    dx[i] = inv * (dy[i] - mean_dy - y[i] * mean_dyy);
-  }
-  return dx;
 }
 
 double WeightedBce::Loss(double p, int target) const {

@@ -41,6 +41,22 @@ class Dense {
   /// Accumulates dW, db from (cached input x, upstream dy); returns dx.
   Vec Backward(const Vec& x, const Vec& dy);
 
+  /// Backward's input gradient alone: dx[0..in_dim) = W^T dy for dy of
+  /// out_dim entries, with the same arithmetic; no parameter gradients.
+  void InputGradRaw(const double* dy, double* dx) const;
+
+  /// Batched weight and bias gradients of output row r: accumulates
+  /// dW row r += sum_i dy[i][r] x[i] and db[r] += sum_i dy[i][r] over n
+  /// cached input rows x (n x in_dim) and upstream rows dy (n x out_dim),
+  /// skipping zero dy entries as Backward does. Rows are summed in chunks
+  /// of `chunk` consecutive rows: each chunk's terms add up from zero in
+  /// `partial` (in_dim scratch entries), then the chunk sums add into the
+  /// gradient in chunk order. Distinct r touch disjoint gradient entries,
+  /// so callers split r across threads and get the same bits at any
+  /// thread count.
+  void BackwardRow(size_t r, const double* x, const double* dy, size_t n,
+                   size_t chunk, double* partial);
+
   /// Registers W (Glorot) and b (zero) under `scope`.
   void RegisterParams(ParamRegistry* registry, const std::string& scope) {
     registry->Register(scope + "/W", &W_, ParamInit::kGlorot);
@@ -57,12 +73,6 @@ class Dense {
 /// ReLU forward.
 Vec Relu(const Vec& x);
 
-/// ReLU backward: dy masked by x > 0.
-Vec ReluBackward(const Vec& x, const Vec& dy);
-
-/// Element-wise sigmoid.
-Vec SigmoidVec(const Vec& x);
-
 /// Layer normalization without learnable affine (the "normalized" input
 /// stage of Figure 4(b)); eps guards zero-variance inputs.
 Vec LayerNorm(const Vec& x, double eps = 1e-5);
@@ -71,9 +81,6 @@ Vec LayerNorm(const Vec& x, double eps = 1e-5);
 /// mean/variance accumulation order). Serving assembles feature rows
 /// directly into arena storage and normalizes them here.
 void LayerNormInPlace(double* x, size_t n, double eps = 1e-5);
-
-/// Backward of LayerNorm.
-Vec LayerNormBackward(const Vec& x, const Vec& dy, double eps = 1e-5);
 
 /// \brief Weighted binary cross-entropy (Eq. 6):
 /// L = -w*t*log(p) - (1-t)*log(1-p).

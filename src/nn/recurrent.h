@@ -54,9 +54,9 @@ class RecurrentCell {
   virtual void RegisterParams(ParamRegistry* registry,
                               const std::string& scope) = 0;
 
-  /// Deep copy (values and gradient accumulators). Data-parallel training
-  /// clones one replica per work chunk and reduces the replica gradients
-  /// back in chunk order.
+  /// Deep copy (values and gradient accumulators). RETINA-D's training
+  /// step gives each candidate chunk after the first its own copy and
+  /// adds the copies' gradients back in chunk order.
   virtual std::unique_ptr<RecurrentCell> Clone() const = 0;
 };
 

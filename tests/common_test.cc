@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -308,7 +309,7 @@ TEST(VecTest, CosineSimilarity) {
 
 TEST(VecTest, SoftmaxSumsToOneAndIsStable) {
   Vec v = {1000.0, 1001.0, 1002.0};  // would overflow naive exp
-  SoftmaxInPlace(&v);
+  SoftmaxInPlace(v.data(), v.size());
   EXPECT_NEAR(Sum(v), 1.0, 1e-12);
   EXPECT_GT(v[2], v[1]);
   EXPECT_GT(v[1], v[0]);
@@ -392,6 +393,22 @@ TEST(MatrixTest, AxpyAndFill) {
   EXPECT_DOUBLE_EQ(a(0, 0), 7.0);
   a.Fill(0.0);
   EXPECT_DOUBLE_EQ(a(0, 1), 0.0);
+}
+
+TEST(MatrixTest, StorageStartsOnACacheLine) {
+  // Small and large blocks alike, interleaved with odd-sized ones that
+  // would leave malloc's next block off a cache line; copies too.
+  std::vector<Matrix> kept;
+  std::vector<std::vector<char>> pads;
+  for (size_t cols : {1, 3, 64, 876, 70000}) {
+    pads.emplace_back(8 * cols + 24);
+    kept.emplace_back(2, cols);
+    const Matrix copy = kept.back();
+    kept.push_back(copy);
+  }
+  for (const Matrix& m : kept) {
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data().data()) % 64, 0u);
+  }
 }
 
 // --------------------------------------------------------------- Strings --

@@ -7,8 +7,11 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "core/feature_extractor.h"
 #include "core/hategen_task.h"
 #include "core/retina.h"
@@ -17,6 +20,7 @@
 #include "io/checkpoint.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
+#include "nn/layers.h"
 
 namespace retina::core {
 namespace {
@@ -568,6 +572,140 @@ TEST(RetinaTest, DeterministicGivenSeed) {
   const Vec s1 = m1.ScoreCandidates(task, task.test);
   const Vec s2 = m2.ScoreCandidates(task, task.test);
   EXPECT_EQ(s1, s2);
+}
+
+// One tweet group of `n` candidates as the whole train split, so one
+// training epoch is one optimizer step.
+RetweetTask OneGroupTask(size_t n, uint64_t seed) {
+  RetweetTask task;
+  task.user_dim = 6;
+  task.content_dim = 5;
+  task.embed_dim = 8;
+  task.interval_edges = {0.0, 1.0, 8.0, 24.0};
+  Rng rng(seed);
+  TweetContext ctx;
+  ctx.content = Vec(task.content_dim);
+  for (double& v : ctx.content) v = rng.Normal();
+  ctx.embedding = Vec(task.embed_dim);
+  for (double& v : ctx.embedding) v = rng.Normal();
+  ctx.news_window = Matrix(4, task.embed_dim);
+  for (double& v : ctx.news_window.data()) v = rng.Normal();
+  task.tweets.push_back(std::move(ctx));
+  for (size_t k = 0; k < n; ++k) {
+    RetweetCandidate cand;
+    cand.tweet_pos = 0;
+    cand.user = static_cast<datagen::NodeId>(k);
+    cand.label = (k % 3 == 0) ? 1 : 0;
+    cand.interval_labels.assign(task.NumIntervals(), 0);
+    if (cand.label == 1) cand.interval_labels[k % task.NumIntervals()] = 1;
+    cand.user_features = Vec(task.user_dim);
+    for (double& v : cand.user_features) v = rng.Normal();
+    task.train.push_back(std::move(cand));
+  }
+  return task;
+}
+
+// Train's objective for the one-group task: the mean over candidates of
+// the weighted BCE (summed over intervals for the dynamic head), with the
+// positive weight Train derives from the same labels.
+double GroupLoss(const Retina& model, const RetweetTask& task,
+                 double lambda) {
+  const bool dynamic = model.options().dynamic;
+  size_t total = 0, positives = 0;
+  for (const RetweetCandidate& cand : task.train) {
+    if (dynamic) {
+      total += cand.interval_labels.size();
+      for (int l : cand.interval_labels) positives += (l == 1);
+    } else {
+      ++total;
+      positives += (cand.label == 1);
+    }
+  }
+  nn::WeightedBce bce;
+  bce.pos_weight = nn::PositiveClassWeight(total, positives, lambda);
+  double sum = 0.0;
+  for (const RetweetCandidate& cand : task.train) {
+    const Vec probs = model.PredictDynamic(task.tweets[0], cand.user_features);
+    if (!dynamic) {
+      sum += bce.Loss(probs[0], cand.label);
+      continue;
+    }
+    for (size_t j = 0; j < probs.size(); ++j) {
+      sum += bce.Loss(probs[j], cand.interval_labels[j]);
+    }
+  }
+  return sum / static_cast<double>(task.train.size());
+}
+
+// With SGD, the first step moves each weight by exactly -lr * g (the
+// momentum buffer starts at zero), so one epoch over one group exposes the
+// step's gradient. Compares it, at sampled entries of each named tensor,
+// with a central difference of GroupLoss on checkpoints where only that
+// entry is perturbed.
+void ExpectStepGradientMatchesFiniteDifference(
+    RetinaOptions opts, const std::vector<std::string>& tensors) {
+  // 20 candidates: three summation chunks of the step.
+  const RetweetTask task = OneGroupTask(20, 17);
+  opts.use_adam = false;
+  opts.learning_rate = 1e-2;
+  opts.epochs = 1;
+  Retina model(task.user_dim, task.content_dim, task.embed_dim,
+               task.NumIntervals(), opts);
+  io::Checkpoint before;
+  ASSERT_TRUE(model.Save(&before).ok());
+  ASSERT_TRUE(model.Train(task).ok());
+  io::Checkpoint after;
+  ASSERT_TRUE(model.Save(&after).ok());
+
+  constexpr size_t kSamples = 6;
+  constexpr double kStep = 1e-6;
+  for (const std::string& tensor : tensors) {
+    const std::string name = "retina/params/" + tensor;
+    Matrix w0, w1;
+    ASSERT_TRUE(before.GetTensor(name, &w0).ok()) << name;
+    ASSERT_TRUE(after.GetTensor(name, &w1).ok()) << name;
+    const auto loss_with = [&](size_t e, double delta) {
+      io::Checkpoint perturbed = before;
+      Matrix w = w0;
+      w.data()[e] += delta;
+      perturbed.PutTensor(name, w);
+      auto loaded = Retina::Load(perturbed);
+      EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+      return GroupLoss(*loaded.ValueOrDie(), task, opts.lambda);
+    };
+    double largest = 0.0;
+    const size_t samples = std::min(kSamples, w0.size());
+    for (size_t k = 0; k < samples; ++k) {
+      const size_t e = k * w0.size() / samples;
+      const double step_grad =
+          (w0.data()[e] - w1.data()[e]) / opts.learning_rate;
+      const double numeric =
+          (loss_with(e, kStep) - loss_with(e, -kStep)) / (2.0 * kStep);
+      EXPECT_NEAR(step_grad, numeric, 1e-7 + 1e-4 * std::abs(numeric))
+          << name << " entry " << e;
+      largest = std::max(largest, std::abs(step_grad));
+    }
+    EXPECT_GT(largest, 0.0) << name << ": every sampled gradient is zero";
+  }
+}
+
+TEST(RetinaTest, StaticStepGradientMatchesFiniteDifference) {
+  RetinaOptions opts;
+  opts.hidden = 8;
+  ExpectStepGradientMatchesFiniteDifference(
+      opts, {"ff1/W", "ff1/b", "head/W", "head/b", "attention/Wq",
+             "attention/Wk", "attention/Wv"});
+}
+
+TEST(RetinaTest, DynamicStepGradientMatchesFiniteDifference) {
+  RetinaOptions opts;
+  opts.hidden = 8;
+  opts.dynamic = true;
+  opts.lambda = 2.5;
+  ExpectStepGradientMatchesFiniteDifference(
+      opts, {"ff1/W", "ff1/b", "head/W", "head/b", "attention/Wk", "rnn/Wz",
+             "rnn/Uz", "rnn/bz", "rnn/Wr", "rnn/Ur", "rnn/br", "rnn/Wh",
+             "rnn/Uh", "rnn/bh"});
 }
 
 TEST(RetinaTest, EmptyTrainFails) {

@@ -94,19 +94,41 @@ TEST(DenseTest, GradientCheck) {
   }
 }
 
-// ----------------------------------------------------------- Activations --
-
-TEST(ActivationTest, ReluAndBackward) {
-  EXPECT_EQ(Relu({-1.0, 0.0, 2.0}), (Vec{0.0, 0.0, 2.0}));
-  EXPECT_EQ(ReluBackward({-1.0, 0.5, 2.0}, {1.0, 1.0, 1.0}),
-            (Vec{0.0, 1.0, 1.0}));
+TEST(DenseTest, BackwardRowMatchesPerRowBackward) {
+  // Row-owned gradients over a batch (chunks of 2 rows) equal per-row
+  // Backward calls up to the summation grouping, skipping a zero dy entry
+  // the same way; InputGradRaw is Backward's dx.
+  Rng rng(4);
+  const size_t n = 5, in = 6, out = 3;
+  Dense per_row(in, out), by_row(in, out);
+  const ParamRegistry want = InitLayer(&per_row, &rng);
+  ParamRegistry got;
+  by_row.RegisterParams(&got, "layer");
+  Matrix x(n, in), dy(n, out);
+  for (double& v : x.data()) v = rng.Normal();
+  for (double& v : dy.data()) v = rng.Normal();
+  dy(1, 2) = 0.0;
+  for (size_t i = 0; i < n; ++i) per_row.Backward(x.RowVec(i), dy.RowVec(i));
+  Vec partial(in);
+  for (size_t r = 0; r < out; ++r) {
+    by_row.BackwardRow(r, x.Row(0), dy.Row(0), n, 2, partial.data());
+  }
+  for (const char* name : {"layer/W", "layer/b"}) {
+    const Matrix& a = want.Find(name)->grad;
+    const Matrix& b = got.Find(name)->grad;
+    for (size_t k = 0; k < a.size(); ++k) {
+      EXPECT_NEAR(b.data()[k], a.data()[k], 1e-12) << name << " " << k;
+    }
+  }
+  Vec dx(in);
+  per_row.InputGradRaw(dy.Row(0), dx.data());
+  EXPECT_EQ(dx, per_row.Backward(x.RowVec(0), dy.RowVec(0)));
 }
 
-TEST(ActivationTest, SigmoidVec) {
-  const Vec y = SigmoidVec({0.0, 100.0, -100.0});
-  EXPECT_NEAR(y[0], 0.5, 1e-12);
-  EXPECT_NEAR(y[1], 1.0, 1e-9);
-  EXPECT_NEAR(y[2], 0.0, 1e-9);
+// ----------------------------------------------------------- Activations --
+
+TEST(ActivationTest, Relu) {
+  EXPECT_EQ(Relu({-1.0, 0.0, 2.0}), (Vec{0.0, 0.0, 2.0}));
 }
 
 TEST(LayerNormTest, NormalizesToZeroMeanUnitVar) {
@@ -118,20 +140,6 @@ TEST(LayerNormTest, NormalizesToZeroMeanUnitVar) {
 TEST(LayerNormTest, ConstantInputSafe) {
   const Vec y = LayerNorm({5.0, 5.0, 5.0});
   for (double v : y) EXPECT_NEAR(v, 0.0, 1e-9);
-}
-
-TEST(LayerNormTest, GradientCheck) {
-  const Vec x = {0.4, -1.2, 0.9, 2.0, -0.3};
-  const Vec dy = {0.7, -0.1, 0.3, 1.0, -0.6};
-  const Vec dx = LayerNormBackward(x, dy);
-  for (size_t j = 0; j < x.size(); ++j) {
-    Vec xp = x, xm = x;
-    xp[j] += kEps;
-    xm[j] -= kEps;
-    const double num =
-        (Dot(dy, LayerNorm(xp)) - Dot(dy, LayerNorm(xm))) / (2.0 * kEps);
-    EXPECT_NEAR(dx[j], num, 1e-5);
-  }
 }
 
 // ------------------------------------------------------------------ Loss --

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -208,16 +209,20 @@ TEST(RngStreamTest, DistinctStreamsDiffer) {
 
 // ------------------------------------- Determinism regression: training --
 
-core::RetweetTask MakeToyTask(size_t n_tweets, size_t cands_per_tweet,
+// One tweet per entry of `group_sizes`, with that many candidates; the last
+// group is the test split. The inputs are 256 columns wide so that, at 32
+// hidden units, a training step's candidate chunks, its gradient rows and
+// the optimizer's update each span several pool tasks.
+core::RetweetTask MakeToyTask(const std::vector<size_t>& group_sizes,
                               uint64_t seed) {
   core::RetweetTask task;
-  task.user_dim = 6;
-  task.content_dim = 5;
+  task.user_dim = 200;
+  task.content_dim = 56;
   task.embed_dim = 8;
   task.interval_edges = {0.0, 1.0, 8.0, 24.0};
   Rng rng(seed);
   const size_t n_intervals = task.NumIntervals();
-  for (size_t t = 0; t < n_tweets; ++t) {
+  for (size_t t = 0; t < group_sizes.size(); ++t) {
     core::TweetContext ctx;
     ctx.tweet_id = t;
     ctx.content = Vec(task.content_dim);
@@ -231,7 +236,7 @@ core::RetweetTask MakeToyTask(size_t n_tweets, size_t cands_per_tweet,
       }
     }
     task.tweets.push_back(std::move(ctx));
-    for (size_t k = 0; k < cands_per_tweet; ++k) {
+    for (size_t k = 0; k < group_sizes[t]; ++k) {
       core::RetweetCandidate cand;
       cand.tweet_pos = t;
       cand.user = static_cast<datagen::NodeId>(k);
@@ -240,53 +245,72 @@ core::RetweetTask MakeToyTask(size_t n_tweets, size_t cands_per_tweet,
       if (cand.label == 1) cand.interval_labels[k % n_intervals] = 1;
       cand.user_features = Vec(task.user_dim);
       for (double& v : cand.user_features) v = rng.Normal();
-      (t + 1 == n_tweets ? task.test : task.train).push_back(std::move(cand));
+      (t + 1 == group_sizes.size() ? task.test : task.train)
+          .push_back(std::move(cand));
     }
   }
   return task;
 }
 
-// Trains one RETINA model and returns (epoch losses, test scores).
-std::pair<std::vector<double>, Vec> TrainAndScore(
-    const core::RetweetTask& task, bool dynamic, size_t threads) {
+// What one training run leaves behind.
+struct Trained {
+  std::vector<double> losses;
+  Vec scores;              // the test split's
+  std::string checkpoint;  // Save's bytes: parameters and optimizer state
+};
+
+Trained TrainAndScore(const core::RetweetTask& task, bool dynamic,
+                      bool use_exogenous, size_t threads) {
   par::SetNumThreads(threads);
   core::RetinaOptions opts;
-  opts.hidden = 8;
+  opts.hidden = 32;
   opts.epochs = 3;
   opts.dynamic = dynamic;
+  opts.use_exogenous = use_exogenous;
   opts.seed = 5;
   core::Retina model(task.user_dim, task.content_dim, task.embed_dim,
                      task.NumIntervals(), opts);
   EXPECT_TRUE(model.Train(task).ok());
-  return {model.epoch_losses(), model.ScoreCandidates(task, task.test)};
+  io::Checkpoint ckpt;
+  EXPECT_TRUE(model.Save(&ckpt).ok());
+  return {model.epoch_losses(), model.ScoreCandidates(task, task.test),
+          ckpt.SerializeToBytes()};
 }
 
+// Trains at 1, 2, 4 and 8 threads, with attention on and off, and expects
+// the same losses, test scores and checkpoint bytes every time.
+void ExpectTrainingBitIdenticalAcrossThreadCounts(
+    const core::RetweetTask& task, bool dynamic) {
+  for (const bool use_exogenous : {true, false}) {
+    const Trained ref = TrainAndScore(task, dynamic, use_exogenous, 1);
+    for (const size_t threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "use_exogenous=" << use_exogenous
+                                      << " threads=" << threads);
+      const Trained got = TrainAndScore(task, dynamic, use_exogenous, threads);
+      ASSERT_EQ(ref.losses.size(), got.losses.size());
+      for (size_t e = 0; e < ref.losses.size(); ++e) {
+        EXPECT_EQ(ref.losses[e], got.losses[e]) << "epoch " << e;
+      }
+      ASSERT_EQ(ref.scores.size(), got.scores.size());
+      for (size_t i = 0; i < ref.scores.size(); ++i) {
+        EXPECT_EQ(ref.scores[i], got.scores[i]) << "candidate " << i;
+      }
+      EXPECT_TRUE(ref.checkpoint == got.checkpoint)
+          << "checkpoint bytes differ";
+    }
+  }
+}
+
+// Group sizes cover several chunks (20), a single chunk (6) and a size
+// that is not a multiple of the 8-candidate chunk (13).
 TEST(DeterminismTest, RetinaStaticTrainingBitIdenticalAcrossThreadCounts) {
-  const core::RetweetTask task = MakeToyTask(6, 20, 11);
-  const auto [losses1, scores1] = TrainAndScore(task, /*dynamic=*/false, 1);
-  const auto [losses4, scores4] = TrainAndScore(task, /*dynamic=*/false, 4);
-  ASSERT_EQ(losses1.size(), losses4.size());
-  for (size_t e = 0; e < losses1.size(); ++e) {
-    EXPECT_EQ(losses1[e], losses4[e]) << "epoch " << e;
-  }
-  ASSERT_EQ(scores1.size(), scores4.size());
-  for (size_t i = 0; i < scores1.size(); ++i) {
-    EXPECT_EQ(scores1[i], scores4[i]) << "candidate " << i;
-  }
+  ExpectTrainingBitIdenticalAcrossThreadCounts(
+      MakeToyTask({20, 6, 13, 20, 20, 20}, 11), /*dynamic=*/false);
 }
 
 TEST(DeterminismTest, RetinaDynamicTrainingBitIdenticalAcrossThreadCounts) {
-  const core::RetweetTask task = MakeToyTask(5, 16, 13);
-  const auto [losses1, scores1] = TrainAndScore(task, /*dynamic=*/true, 1);
-  const auto [losses4, scores4] = TrainAndScore(task, /*dynamic=*/true, 4);
-  ASSERT_EQ(losses1.size(), losses4.size());
-  for (size_t e = 0; e < losses1.size(); ++e) {
-    EXPECT_EQ(losses1[e], losses4[e]) << "epoch " << e;
-  }
-  ASSERT_EQ(scores1.size(), scores4.size());
-  for (size_t i = 0; i < scores1.size(); ++i) {
-    EXPECT_EQ(scores1[i], scores4[i]) << "candidate " << i;
-  }
+  ExpectTrainingBitIdenticalAcrossThreadCounts(
+      MakeToyTask({16, 5, 11, 16, 16}, 13), /*dynamic=*/true);
 }
 
 TEST(DeterminismTest, RandomForestBitIdenticalAcrossThreadCounts) {

@@ -98,7 +98,7 @@ TEST_P(SeedSweep, SoftmaxIsDistributionAndOrderPreserving) {
   Vec v(10);
   for (double& x : v) x = rng.Normal(0.0, 5.0);
   Vec s = v;
-  SoftmaxInPlace(&s);
+  SoftmaxInPlace(s.data(), s.size());
   ASSERT_NEAR(Sum(s), 1.0, 1e-9);
   for (size_t i = 0; i < v.size(); ++i) {
     for (size_t j = 0; j < v.size(); ++j) {
