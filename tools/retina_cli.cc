@@ -19,15 +19,26 @@
 //       Load a saved bundle, rebuild the training-time task split from the
 //       bundled seed, and evaluate — bit-identical to the metrics printed
 //       by the train-retweet run that saved it.
+//   retina digest --data DIR [--seed N]
+//       Training digest over the task train-retweet builds: trains every
+//       RETINA head (2 epochs; RETINA-D with each recurrent cell; attention
+//       on and off) and fits SIR and General Threshold, at 1 and at 4
+//       threads. Prints one line of FNV-1a hashes per configuration and a
+//       final DIGEST line; exits 1 when a configuration's 1- and 4-thread
+//       hashes differ.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/arena.h"
 #include "common/logging.h"
 #include "common/obs.h"
+#include "common/parallel.h"
 #include "common/run_export.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
@@ -42,7 +53,10 @@
 #include "core/scoring_engine.h"
 #include "datagen/serialize.h"
 #include "datagen/world.h"
+#include "diffusion/sir.h"
+#include "diffusion/threshold.h"
 #include "hatedetect/annotation.h"
+#include "io/checkpoint.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 
@@ -72,7 +86,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: retina <generate|stats|annotate|train-hategen|train-retweet|"
-      "eval>\n"
+      "eval|digest>\n"
       "  generate      --out DIR [--scale F] [--users N] [--seed N]\n"
       "  stats         --data DIR\n"
       "  annotate      --data DIR [--seed N]\n"
@@ -80,6 +94,7 @@ int Usage() {
       "  train-retweet --data DIR [--dynamic] [--no-exo] [--seed N]"
       " [--save-model DIR]\n"
       "  eval          --data DIR --model DIR [--store-dir DIR]\n"
+      "  digest        --data DIR [--seed N]\n"
       "every command also accepts:\n"
       "  --store-dir=DIR     eval: serve user history features through the\n"
       "                      disk-backed tiered store (built on first use)\n"
@@ -355,6 +370,23 @@ int CmdTrainHateGen(const Args& args) {
   return 0;
 }
 
+// The model train-retweet trains: the static head on Adam, the dynamic
+// head on SGD with the paper's dynamic lambda.
+core::RetinaOptions RetweetModelOptions(bool dynamic, bool use_exogenous,
+                                        uint64_t seed) {
+  core::RetinaOptions ropts;
+  ropts.dynamic = dynamic;
+  ropts.use_exogenous = use_exogenous;
+  ropts.epochs = 4;
+  if (dynamic) {
+    ropts.use_adam = false;
+    ropts.learning_rate = 1e-3;
+    ropts.lambda = 2.5;
+  }
+  ropts.seed = seed;
+  return ropts;
+}
+
 int CmdTrainRetweet(const Args& args) {
   auto world_result = LoadWorld(args);
   if (!world_result.ok()) {
@@ -376,16 +408,8 @@ int CmdTrainRetweet(const Args& args) {
   }
   const auto& task = task_result.ValueOrDie();
 
-  core::RetinaOptions ropts;
-  ropts.dynamic = args.dynamic;
-  ropts.use_exogenous = !args.no_exo;
-  ropts.epochs = 4;
-  if (args.dynamic) {
-    ropts.use_adam = false;
-    ropts.learning_rate = 1e-3;
-    ropts.lambda = 2.5;
-  }
-  ropts.seed = args.seed;
+  const core::RetinaOptions ropts =
+      RetweetModelOptions(args.dynamic, !args.no_exo, args.seed);
   Stopwatch timer;
   core::Retina model(task.user_dim, task.content_dim, task.embed_dim,
                      task.NumIntervals(), ropts);
@@ -511,6 +535,181 @@ int CmdEval(const Args& args) {
   return 0;
 }
 
+// ------------------------------------------------------------ digest --
+
+constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+
+// FNV-1a 64 over raw bytes, continuing from `hash`; over doubles that is
+// their bit patterns, so equal hashes mean equal bits.
+uint64_t Fnv1a(const void* data, size_t n, uint64_t hash = kFnvOffsetBasis) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// " name=<hash>" over n bytes at data.
+std::string HashField(const char* name, const void* data, size_t n) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), " %s=%016llx", name,
+                static_cast<unsigned long long>(Fnv1a(data, n)));
+  return buf;
+}
+
+std::string HashField(const char* name, const std::vector<double>& v) {
+  return HashField(name, v.data(), v.size() * sizeof(double));
+}
+
+// Trains one RETINA configuration and hashes what it leaves behind: the
+// epoch losses, the test split's scores from the model and from the
+// serving engine, RETINA-D's per-interval probabilities, and Save's bytes.
+Result<std::string> RetinaDigest(const core::FeatureExtractor& fx,
+                                 const core::RetweetTask& task,
+                                 const core::RetinaOptions& ropts) {
+  core::Retina model(task.user_dim, task.content_dim, task.embed_dim,
+                     task.NumIntervals(), ropts);
+  RETINA_RETURN_NOT_OK(model.Train(task));
+  std::string line = HashField("losses", model.epoch_losses());
+  line += HashField("scores", model.ScoreCandidates(task, task.test));
+  core::ScoringEngine engine(&model, &fx);
+  Vec served;
+  engine.ScoreCandidatesInto(task, task.test, &served);
+  line += HashField("engine", served);
+  if (ropts.dynamic) {
+    // PredictDynamicRows over each test tweet group, in split order.
+    const size_t J = task.NumIntervals();
+    const auto& test = task.test;
+    Vec probs(test.size() * J);
+    ScratchArena arena;
+    std::vector<const double*> rows;
+    for (size_t i = 0; i < test.size();) {
+      size_t j = i + 1;
+      while (j < test.size() && test[j].tweet_pos == test[i].tweet_pos) ++j;
+      rows.clear();
+      for (size_t s = i; s < j; ++s) {
+        rows.push_back(test[s].user_features.data());
+      }
+      arena.Reset();
+      model.PredictDynamicRows(task.tweets[test[i].tweet_pos], rows.data(),
+                               j - i, probs.data() + i * J, &arena);
+      i = j;
+    }
+    line += HashField("probs", probs);
+  }
+  io::Checkpoint ckpt;
+  RETINA_RETURN_NOT_OK(model.Save(&ckpt));
+  const std::string bytes = ckpt.SerializeToBytes();
+  return line + HashField("ckpt", bytes.data(), bytes.size());
+}
+
+// Fits one cascade baseline and hashes its fitted rates, the test split's
+// scores and the full-population macro-F1.
+template <typename Model, typename Rates>
+Result<std::string> BaselineDigest(Model* model, const core::RetweetTask& task,
+                                   Rates rates) {
+  RETINA_RETURN_NOT_OK(model->Fit(task));
+  std::string line = HashField("rates", rates(*model));
+  line += HashField("scores", model->ScoreCandidates(task, task.test));
+  const double f1 = model->FullPopulationMacroF1(task);
+  return line + HashField("f1", &f1, sizeof(f1));
+}
+
+int CmdDigest(const Args& args) {
+  auto world_result = LoadWorld(args);
+  if (!world_result.ok()) {
+    std::fprintf(stderr, "%s\n", world_result.status().ToString().c_str());
+    return 1;
+  }
+  const auto& world = world_result.ValueOrDie();
+  auto fx = BuildFeatures(world, args.seed);
+  if (!fx.ok()) {
+    std::fprintf(stderr, "%s\n", fx.status().ToString().c_str());
+    return 1;
+  }
+  core::RetweetTaskOptions opts;
+  opts.seed = args.seed;
+  auto task_result = core::BuildRetweetTask(fx.ValueOrDie(), opts);
+  if (!task_result.ok()) {
+    std::fprintf(stderr, "%s\n", task_result.status().ToString().c_str());
+    return 1;
+  }
+  const auto& task = task_result.ValueOrDie();
+
+  struct Config {
+    std::string name;
+    std::function<Result<std::string>()> run;
+  };
+  std::vector<Config> configs;
+  const auto add_retina = [&](const std::string& name, bool dynamic,
+                              nn::RecurrentKind kind) {
+    for (const bool exo : {true, false}) {
+      core::RetinaOptions ropts = RetweetModelOptions(dynamic, exo, args.seed);
+      ropts.epochs = 2;
+      ropts.recurrent = kind;
+      configs.push_back({name + (exo ? "" : " [no-exo]"), [&, ropts] {
+                           return RetinaDigest(fx.ValueOrDie(), task, ropts);
+                         }});
+    }
+  };
+  add_retina("RETINA-S", false, nn::RecurrentKind::kGru);
+  for (const nn::RecurrentKind kind :
+       {nn::RecurrentKind::kGru, nn::RecurrentKind::kLstm,
+        nn::RecurrentKind::kSimpleRnn}) {
+    add_retina(std::string("RETINA-D ") + nn::RecurrentKindName(kind), true,
+               kind);
+  }
+  configs.push_back({"SIR", [&] {
+                       diffusion::SirModel sir(&world, {});
+                       return BaselineDigest(
+                           &sir, task, [](const diffusion::SirModel& m) {
+                             return std::vector<double>{m.beta(), m.gamma()};
+                           });
+                     }});
+  configs.push_back({"Threshold", [&] {
+                       diffusion::ThresholdModel threshold(&world, {});
+                       return BaselineDigest(
+                           &threshold, task,
+                           [](const diffusion::ThresholdModel& m) {
+                             return std::vector<double>{m.influence()};
+                           });
+                     }});
+
+  // Each configuration at 1 and at 4 threads; DIGEST hashes the printed
+  // lines, so it changes with any configuration's bits.
+  uint64_t digest = kFnvOffsetBasis;
+  bool agree = true;
+  for (const Config& config : configs) {
+    Stopwatch timer;
+    par::SetNumThreads(1);
+    const Result<std::string> one = config.run();
+    const double one_s = timer.ElapsedSeconds();
+    par::SetNumThreads(4);
+    const Result<std::string> four = config.run();
+    std::fprintf(stderr, "%s: %.1fs at 1 thread, %.1fs at 4\n",
+                 config.name.c_str(), one_s, timer.ElapsedSeconds() - one_s);
+    for (const Result<std::string>* run : {&one, &four}) {
+      if (!run->ok()) {
+        std::fprintf(stderr, "%s: %s\n", config.name.c_str(),
+                     run->status().ToString().c_str());
+        return 1;
+      }
+    }
+    std::string line = config.name + ":" + one.ValueOrDie();
+    if (one.ValueOrDie() != four.ValueOrDie()) {
+      agree = false;
+      line += "  MISMATCH at 4 threads:" + four.ValueOrDie();
+    }
+    std::printf("%s\n", line.c_str());
+    std::fflush(stdout);
+    digest = Fnv1a(line.data(), line.size(), digest);
+    digest = Fnv1a("\n", 1, digest);
+  }
+  std::printf("DIGEST %016llx\n", static_cast<unsigned long long>(digest));
+  return agree ? 0 : 1;
+}
+
 int RunCommand(const Args& args) {
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "stats") return CmdStats(args);
@@ -518,6 +717,7 @@ int RunCommand(const Args& args) {
   if (args.command == "train-hategen") return CmdTrainHateGen(args);
   if (args.command == "train-retweet") return CmdTrainRetweet(args);
   if (args.command == "eval") return CmdEval(args);
+  if (args.command == "digest") return CmdDigest(args);
   return RejectArg("unknown command '" + args.command + "'");
 }
 
