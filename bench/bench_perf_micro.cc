@@ -26,8 +26,8 @@
 #include "datagen/world.h"
 #include "graph/generators.h"
 #include "nn/attention.h"
-#include "nn/gru.h"
 #include "nn/param_registry.h"
+#include "nn/recurrent.h"
 #include "text/doc2vec.h"
 #include "text/tfidf.h"
 

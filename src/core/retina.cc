@@ -188,16 +188,16 @@ void Retina::FirstLayerRows(const TweetContext& ctx,
 
 void Retina::UnrollCandidate(const nn::RecurrentCell& rnn,
                              const nn::Dense& head, const double* h,
-                             const Vec& exo, double* probs,
+                             const double* exo, size_t E, double* probs,
                              std::vector<nn::RecCache>* caches,
                              std::vector<Vec>* hidden) const {
   // The observable output is the first H entries of the cell state.
   const size_t H = options_.hidden;
-  Vec in(H + exo.size() + 2);
+  Vec in(H + E + 2);
   Vec state(rnn.state_dim(), 0.0);
   Vec out;
   for (size_t j = 0; j < num_intervals_; ++j) {
-    StepInputInto(h, exo.data(), exo.size(), j, in.data());
+    StepInputInto(h, exo, E, j, in.data());
     state = rnn.Forward(in, state, caches != nullptr ? &(*caches)[j] : nullptr);
     out.assign(state.begin(), state.begin() + H);
     probs[j] = Sigmoid(head.Forward(out)[0]);
@@ -306,7 +306,8 @@ double Retina::TrainBatch(const RetweetTask& task, size_t begin, size_t end,
     for (size_t i = ch.begin; i < ch.end; ++i) {
       const RetweetCandidate& cand = train[begin + i];
       const double* hrow = s->h.data() + i * H;
-      UnrollCandidate(*rnn, *head, hrow, exo, probs.data(), &caches, &hidden);
+      UnrollCandidate(*rnn, *head, hrow, exo.data(), exo.size(), probs.data(),
+                      &caches, &hidden);
       double sample_loss = 0.0;
       for (size_t j = 0; j < J; ++j) {
         const int label = cand.interval_labels[j];
@@ -498,8 +499,8 @@ Vec Retina::PredictDynamic(const TweetContext& ctx,
       ff1_->Forward(nn::LayerNorm(Concat(user_features, ctx.content))));
   if (!options_.dynamic) return {Sigmoid(head_->Forward(Concat(h, exo))[0])};
   Vec probs(num_intervals_);
-  UnrollCandidate(*rnn_, *head_, h.data(), exo, probs.data(), nullptr,
-                  nullptr);
+  UnrollCandidate(*rnn_, *head_, h.data(), exo.data(), exo.size(),
+                  probs.data(), nullptr, nullptr);
   return probs;
 }
 
@@ -546,27 +547,13 @@ void Retina::PredictDynamicRows(const TweetContext& ctx,
                                 double* probs, ScratchArena* arena) const {
   if (n == 0) return;
   const size_t H = options_.hidden;
-  const size_t E = ExoDim();
-  const size_t J = num_intervals_;
   const double* exo = ExoInto(ctx, arena);
   double* x = arena->AllocDoubles(n * input_dim_);
   double* h = arena->AllocDoubles(n * H);
   FirstLayerRows(ctx, user_rows, n, x, h);
-  // The recurrent unroll stays per candidate (its arithmetic is inherently
-  // sequential), but running all candidates in interval lockstep lets the
-  // head score each interval's batch as one GEMM.
-  std::vector<Vec> states(n, Vec(rnn_->state_dim(), 0.0));
-  Vec in(H + E + 2);
-  double* hidden = arena->AllocDoubles(n * H);
-  double* logits = arena->AllocDoubles(n);
-  for (size_t j = 0; j < J; ++j) {
-    for (size_t i = 0; i < n; ++i) {
-      StepInputInto(h + i * H, exo, E, j, in.data());
-      states[i] = rnn_->Forward(in, states[i], nullptr);
-      std::copy(states[i].begin(), states[i].begin() + H, hidden + i * H);
-    }
-    head_->ForwardBatchRaw(hidden, n, logits);
-    for (size_t i = 0; i < n; ++i) probs[i * J + j] = Sigmoid(logits[i]);
+  for (size_t i = 0; i < n; ++i) {
+    UnrollCandidate(*rnn_, *head_, h + i * H, exo, ExoDim(),
+                    probs + i * num_intervals_, nullptr, nullptr);
   }
 }
 

@@ -21,7 +21,8 @@
 // PredictDynamic run the serial reference every batched pin compares
 // against. Per tweet group, one raw-row first layer (arena rows,
 // LayerNorm, one ff1 GEMM, ReLU) feeds the static head (ScoreBatchRows)
-// and the GRU unroll (PredictDynamicRows); every batched entry point and
+// and the per-candidate recurrent unroll (PredictDynamicRows), the one
+// PredictDynamic and training run too; every batched entry point and
 // the training step run it and match the per-candidate pass bit for bit.
 // Training differentiates that batched pass: ff1's and the static head's
 // weight gradients are computed by output row, RETINA-D's BPTT per
@@ -110,9 +111,10 @@ class Retina {
 
   /// Batched per-interval probabilities (dynamic mode) over raw feature
   /// rows: `probs` holds n x num_intervals entries row-major, and row i
-  /// equals PredictDynamic(ctx, row i) bit-for-bit. The recurrent cell
-  /// unrolls per candidate in interval lockstep, so the head runs as one
-  /// GEMM per interval. Temporaries come from `arena` as in ScoreBatchRows.
+  /// equals PredictDynamic(ctx, row i) bit-for-bit. The attention output
+  /// and the first layer run once for the batch (one ff1 GEMM); then each
+  /// candidate runs the recurrent unroll PredictDynamic runs. The first
+  /// layer's buffers come from `arena` as in ScoreBatchRows.
   void PredictDynamicRows(const TweetContext& ctx,
                           const double* const* user_rows, size_t n,
                           double* probs, ScratchArena* arena) const;
@@ -190,12 +192,13 @@ class Retina {
                      size_t interval, double* in) const;
 
   // The recurrent head's per-candidate unroll over intervals from the
-  // ReLU'd ff1 row `h`, against the given cell and head (the model's own,
-  // or a training chunk's copy): probs[j] = P_j. Non-null `caches` and
-  // `hidden` (num_intervals entries each) receive what BPTT reads.
+  // ReLU'd ff1 row `h` and the E-entry attention output `exo`, against the
+  // given cell and head (the model's own, or a training chunk's copy):
+  // probs[j] = P_j. Every dynamic entry point runs it. Non-null `caches`
+  // and `hidden` (num_intervals entries each) receive what BPTT reads.
   void UnrollCandidate(const nn::RecurrentCell& rnn, const nn::Dense& head,
-                       const double* h, const Vec& exo, double* probs,
-                       std::vector<nn::RecCache>* caches,
+                       const double* h, const double* exo, size_t E,
+                       double* probs, std::vector<nn::RecCache>* caches,
                        std::vector<Vec>* hidden) const;
 
   // The paper's per-tweet step over train candidates [begin, end), one

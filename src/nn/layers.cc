@@ -8,10 +8,13 @@
 
 namespace retina::nn {
 
-void Dense::ForwardRaw(const double* x, double* y) const {
+Vec Dense::Forward(const Vec& x) const {
+  assert(x.size() == W_.value.cols());
   const size_t out = W_.value.rows();
-  simd::MatVec(W_.value.Row(0), out, W_.value.cols(), x, y);
+  Vec y(out);
+  simd::MatVec(W_.value.Row(0), out, W_.value.cols(), x.data(), y.data());
   for (size_t i = 0; i < out; ++i) y[i] += b_.value(0, i);
+  return y;
 }
 
 void Dense::ForwardBatchRaw(const double* x, size_t n, double* y) const {
@@ -21,13 +24,6 @@ void Dense::ForwardBatchRaw(const double* x, size_t n, double* y) const {
     double* row = y + r * out;
     for (size_t i = 0; i < out; ++i) row[i] += b_.value(0, i);
   }
-}
-
-Vec Dense::Forward(const Vec& x) const {
-  assert(x.size() == W_.value.cols());
-  Vec y(W_.value.rows());
-  ForwardRaw(x.data(), y.data());
-  return y;
 }
 
 Vec Dense::Backward(const Vec& x, const Vec& dy) {

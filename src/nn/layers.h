@@ -26,10 +26,6 @@ class Dense {
 
   Vec Forward(const Vec& x) const;
 
-  /// Raw-buffer forward: y[0..out_dim) = W x + b for x of in_dim entries.
-  /// Identical arithmetic to Forward.
-  void ForwardRaw(const double* x, double* y) const;
-
   /// Raw-buffer batched forward over n row-major rows of in_dim entries;
   /// y holds n x out_dim. Computed as one blocked GEMM against W instead
   /// of n MatVecs; every output entry goes through the same dispatched

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace retina::nn {
 
@@ -19,7 +20,17 @@ const char* RecurrentKindName(RecurrentKind kind) {
 
 namespace {
 
-// dW += g x^T, dU += g h^T, db += g; dx += W^T g; dh += U^T g.
+// Gate pre-activation W x + U h + b.
+Vec AffineGate(const Param& W, const Param& U, const Param& b, const Vec& x,
+               const Vec& h) {
+  Vec out = W.value.MatVec(x);
+  const Vec uh = U.value.MatVec(h);
+  for (size_t i = 0; i < out.size(); ++i) out[i] += uh[i] + b.value(0, i);
+  return out;
+}
+
+// AffineGate's backward: dW += g x^T, dU += g h^T, db += g; dx += W^T g;
+// dh += U^T g.
 void AccumulateAffine(Param* W, Param* U, Param* b, const Vec& g,
                       const Vec& x, const Vec& h, Vec* dx, Vec* dh) {
   for (size_t i = 0; i < g.size(); ++i) {
@@ -99,24 +110,16 @@ LstmCell::LstmCell(size_t in_dim, size_t hidden_dim)
   for (size_t i = 0; i < hidden_dim; ++i) bf_.value(0, i) = 1.0;
 }
 
-Vec LstmCell::Gate(const Param& W, const Param& U, const Param& b,
-                   const Vec& x, const Vec& h) const {
-  Vec out = W.value.MatVec(x);
-  const Vec uh = U.value.MatVec(h);
-  for (size_t i = 0; i < hidden_dim_; ++i) out[i] += uh[i] + b.value(0, i);
-  return out;
-}
-
 Vec LstmCell::Forward(const Vec& x, const Vec& state,
                       RecCache* cache) const {
   assert(x.size() == in_dim_ && state.size() == 2 * hidden_dim_);
   const Vec h_prev(state.begin(), state.begin() + hidden_dim_);
   const Vec c_prev(state.begin() + hidden_dim_, state.end());
 
-  Vec i_gate = Gate(Wi_, Ui_, bi_, x, h_prev);
-  Vec f_gate = Gate(Wf_, Uf_, bf_, x, h_prev);
-  Vec o_gate = Gate(Wo_, Uo_, bo_, x, h_prev);
-  Vec g_gate = Gate(Wc_, Uc_, bc_, x, h_prev);
+  Vec i_gate = AffineGate(Wi_, Ui_, bi_, x, h_prev);
+  Vec f_gate = AffineGate(Wf_, Uf_, bf_, x, h_prev);
+  Vec o_gate = AffineGate(Wo_, Uo_, bo_, x, h_prev);
+  Vec g_gate = AffineGate(Wc_, Uc_, bc_, x, h_prev);
   for (size_t i = 0; i < hidden_dim_; ++i) {
     i_gate[i] = Sigmoid(i_gate[i]);
     f_gate[i] = Sigmoid(f_gate[i]);
@@ -197,27 +200,95 @@ void LstmCell::RegisterParams(ParamRegistry* registry,
 
 // ------------------------------------------------------------------ GRU --
 
-Vec GruRecurrentCell::Forward(const Vec& x, const Vec& state,
-                              RecCache* cache) const {
-  GruCache gc;
-  const Vec h = cell_.Forward(x, state, cache != nullptr ? &gc : nullptr);
+GruCell::GruCell(size_t in_dim, size_t hidden_dim)
+    : in_dim_(in_dim),
+      hidden_dim_(hidden_dim),
+      Wz_(hidden_dim, in_dim),
+      Uz_(hidden_dim, hidden_dim),
+      bz_(1, hidden_dim),
+      Wr_(hidden_dim, in_dim),
+      Ur_(hidden_dim, hidden_dim),
+      br_(1, hidden_dim),
+      Wh_(hidden_dim, in_dim),
+      Uh_(hidden_dim, hidden_dim),
+      bh_(1, hidden_dim) {}
+
+Vec GruCell::Forward(const Vec& x, const Vec& state, RecCache* cache) const {
+  assert(x.size() == in_dim_ && state.size() == hidden_dim_);
+  Vec z = AffineGate(Wz_, Uz_, bz_, x, state);
+  Vec r = AffineGate(Wr_, Ur_, br_, x, state);
+  for (double& v : z) v = Sigmoid(v);
+  for (double& v : r) v = Sigmoid(v);
+  Vec rh(hidden_dim_);
+  for (size_t i = 0; i < hidden_dim_; ++i) rh[i] = r[i] * state[i];
+  Vec hhat = AffineGate(Wh_, Uh_, bh_, x, rh);
+  for (double& v : hhat) v = std::tanh(v);
+  Vec h(hidden_dim_);
+  for (size_t i = 0; i < hidden_dim_; ++i) {
+    h[i] = (1.0 - z[i]) * state[i] + z[i] * hhat[i];
+  }
   if (cache != nullptr) {
-    cache->x = gc.x;
-    cache->state_prev = gc.h_prev;
-    cache->aux = {gc.z, gc.r, gc.hhat};
+    cache->x = x;
+    cache->state_prev = state;
+    cache->aux = {std::move(z), std::move(r), std::move(hhat)};
   }
   return h;
 }
 
-void GruRecurrentCell::Backward(const RecCache& cache, const Vec& dstate,
-                                Vec* dx, Vec* dstate_prev) {
-  GruCache gc;
-  gc.x = cache.x;
-  gc.h_prev = cache.state_prev;
-  gc.z = cache.aux[0];
-  gc.r = cache.aux[1];
-  gc.hhat = cache.aux[2];
-  cell_.Backward(gc, dstate, dx, dstate_prev);
+void GruCell::Backward(const RecCache& cache, const Vec& dstate, Vec* dx,
+                       Vec* dstate_prev) {
+  const size_t H = hidden_dim_;
+  const Vec& h_prev = cache.state_prev;
+  const Vec& z = cache.aux[0];
+  const Vec& r = cache.aux[1];
+  const Vec& hhat = cache.aux[2];
+  dx->assign(in_dim_, 0.0);
+  dstate_prev->assign(H, 0.0);
+
+  Vec dz(H), dhhat(H);
+  for (size_t i = 0; i < H; ++i) {
+    // h = (1-z) h_prev + z hhat
+    (*dstate_prev)[i] += dstate[i] * (1.0 - z[i]);
+    dhhat[i] = dstate[i] * z[i];
+    dz[i] = dstate[i] * (hhat[i] - h_prev[i]);
+  }
+
+  // hhat = tanh(a_h), a_h = Wh x + Uh (r*h_prev) + bh
+  Vec da_h(H);
+  for (size_t i = 0; i < H; ++i) {
+    da_h[i] = dhhat[i] * (1.0 - hhat[i] * hhat[i]);
+  }
+  Vec rh(H);
+  for (size_t i = 0; i < H; ++i) rh[i] = r[i] * h_prev[i];
+  Vec drh(H, 0.0);
+  AccumulateAffine(&Wh_, &Uh_, &bh_, da_h, cache.x, rh, dx, &drh);
+  Vec dr(H);
+  for (size_t i = 0; i < H; ++i) {
+    dr[i] = drh[i] * h_prev[i];
+    (*dstate_prev)[i] += drh[i] * r[i];
+  }
+
+  // Gates: sigmoid derivative.
+  Vec da_z(H), da_r(H);
+  for (size_t i = 0; i < H; ++i) {
+    da_z[i] = dz[i] * z[i] * (1.0 - z[i]);
+    da_r[i] = dr[i] * r[i] * (1.0 - r[i]);
+  }
+  AccumulateAffine(&Wz_, &Uz_, &bz_, da_z, cache.x, h_prev, dx, dstate_prev);
+  AccumulateAffine(&Wr_, &Ur_, &br_, da_r, cache.x, h_prev, dx, dstate_prev);
+}
+
+void GruCell::RegisterParams(ParamRegistry* registry,
+                             const std::string& scope) {
+  registry->Register(scope + "/Wz", &Wz_, ParamInit::kGlorot);
+  registry->Register(scope + "/Uz", &Uz_, ParamInit::kGlorot);
+  registry->Register(scope + "/bz", &bz_);
+  registry->Register(scope + "/Wr", &Wr_, ParamInit::kGlorot);
+  registry->Register(scope + "/Ur", &Ur_, ParamInit::kGlorot);
+  registry->Register(scope + "/br", &br_);
+  registry->Register(scope + "/Wh", &Wh_, ParamInit::kGlorot);
+  registry->Register(scope + "/Uh", &Uh_, ParamInit::kGlorot);
+  registry->Register(scope + "/bh", &bh_);
 }
 
 std::unique_ptr<RecurrentCell> MakeRecurrentCell(RecurrentKind kind,
@@ -225,7 +296,7 @@ std::unique_ptr<RecurrentCell> MakeRecurrentCell(RecurrentKind kind,
                                                  size_t hidden_dim) {
   switch (kind) {
     case RecurrentKind::kGru:
-      return std::make_unique<GruRecurrentCell>(in_dim, hidden_dim);
+      return std::make_unique<GruCell>(in_dim, hidden_dim);
     case RecurrentKind::kLstm:
       return std::make_unique<LstmCell>(in_dim, hidden_dim);
     case RecurrentKind::kSimpleRnn:

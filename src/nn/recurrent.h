@@ -1,4 +1,4 @@
-// Recurrent-cell family behind dynamic RETINA.
+// Recurrent-cell family behind dynamic RETINA (Figure 4(c)).
 //
 // The paper's dynamic head uses a GRU but reports having tried a simple
 // RNN (worse) and an LSTM (no gain) — Section V-B. All three are available
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/gru.h"
 #include "nn/param.h"
 #include "nn/param_registry.h"
 
@@ -110,10 +109,6 @@ class LstmCell : public RecurrentCell {
   }
 
  private:
-  // Gate pre-activation a_g = Wg x + Ug h + bg for g in {i, f, o, c}.
-  Vec Gate(const Param& W, const Param& U, const Param& b, const Vec& x,
-           const Vec& h) const;
-
   size_t in_dim_, hidden_dim_;
   Param Wi_, Ui_, bi_;
   Param Wf_, Uf_, bf_;
@@ -121,29 +116,34 @@ class LstmCell : public RecurrentCell {
   Param Wc_, Uc_, bc_;
 };
 
-/// \brief Adapter exposing GruCell behind the RecurrentCell interface.
-class GruRecurrentCell : public RecurrentCell {
+/// \brief GRU cell, the paper's choice:
+///   z = sigmoid(Wz x + Uz h + bz)
+///   r = sigmoid(Wr x + Ur h + br)
+///   hhat = tanh(Wh x + Uh (r*h) + bh)
+///   h' = (1-z)*h + z*hhat
+/// The state is h; a step's cache keeps aux = {z, r, hhat}.
+class GruCell : public RecurrentCell {
  public:
-  GruRecurrentCell(size_t in_dim, size_t hidden_dim)
-      : cell_(in_dim, hidden_dim) {}
+  GruCell(size_t in_dim, size_t hidden_dim);
 
-  size_t state_dim() const override { return cell_.hidden_dim(); }
-  size_t hidden_dim() const override { return cell_.hidden_dim(); }
-  size_t in_dim() const override { return cell_.in_dim(); }
+  size_t state_dim() const override { return hidden_dim_; }
+  size_t hidden_dim() const override { return hidden_dim_; }
+  size_t in_dim() const override { return in_dim_; }
   Vec Forward(const Vec& x, const Vec& state,
               RecCache* cache) const override;
   void Backward(const RecCache& cache, const Vec& dstate, Vec* dx,
                 Vec* dstate_prev) override;
   void RegisterParams(ParamRegistry* registry,
-                      const std::string& scope) override {
-    cell_.RegisterParams(registry, scope);
-  }
+                      const std::string& scope) override;
   std::unique_ptr<RecurrentCell> Clone() const override {
-    return std::make_unique<GruRecurrentCell>(*this);
+    return std::make_unique<GruCell>(*this);
   }
 
  private:
-  GruCell cell_;
+  size_t in_dim_, hidden_dim_;
+  Param Wz_, Uz_, bz_;
+  Param Wr_, Ur_, br_;
+  Param Wh_, Uh_, bh_;
 };
 
 /// Factory over the three kinds.

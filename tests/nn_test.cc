@@ -1,6 +1,6 @@
-// Tests for src/nn — including numerical gradient checks for Dense, GRU
-// and the exogenous attention block, which are the load-bearing pieces of
-// RETINA's training loop.
+// Tests for src/nn — including numerical gradient checks for Dense, the
+// recurrent cells (GRU, LSTM, simple RNN) and the exogenous attention
+// block, which are the load-bearing pieces of RETINA's training loop.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <functional>
 
 #include "nn/attention.h"
-#include "nn/gru.h"
 #include "nn/layers.h"
 #include "nn/param_registry.h"
 #include "nn/recurrent.h"
@@ -184,80 +183,6 @@ TEST(GruTest, OutputInTanhRange) {
   for (double v : h) {
     EXPECT_GE(v, -1.0);
     EXPECT_LE(v, 1.0);
-  }
-}
-
-TEST(GruTest, GradientCheckSingleStep) {
-  Rng rng(4);
-  GruCell gru(3, 4);
-  ParamRegistry reg = InitLayer(&gru, &rng);
-  const Vec x = {0.2, -0.4, 0.9};
-  const Vec h0 = {0.1, -0.2, 0.3, 0.05};
-  const Vec dy = {1.0, -1.0, 0.5, 0.25};
-
-  auto loss = [&]() { return Dot(dy, gru.Forward(x, h0, nullptr)); };
-
-  GruCache cache;
-  (void)gru.Forward(x, h0, &cache);
-  reg.ZeroGrads();
-  Vec dx, dh0;
-  gru.Backward(cache, dy, &dx, &dh0);
-
-  for (Param* p : reg.params()) {
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      for (size_t c = 0; c < p->value.cols(); ++c) {
-        EXPECT_NEAR(p->grad(r, c), NumericalGrad(p, r, c, loss), 1e-5);
-      }
-    }
-  }
-  for (size_t j = 0; j < x.size(); ++j) {
-    Vec xp = x, xm = x;
-    xp[j] += kEps;
-    xm[j] -= kEps;
-    const double num = (Dot(dy, gru.Forward(xp, h0, nullptr)) -
-                        Dot(dy, gru.Forward(xm, h0, nullptr))) /
-                       (2.0 * kEps);
-    EXPECT_NEAR(dx[j], num, 1e-5);
-  }
-  for (size_t j = 0; j < h0.size(); ++j) {
-    Vec hp = h0, hm = h0;
-    hp[j] += kEps;
-    hm[j] -= kEps;
-    const double num = (Dot(dy, gru.Forward(x, hp, nullptr)) -
-                        Dot(dy, gru.Forward(x, hm, nullptr))) /
-                       (2.0 * kEps);
-    EXPECT_NEAR(dh0[j], num, 1e-5);
-  }
-}
-
-TEST(GruTest, GradientCheckTwoStepBptt) {
-  Rng rng(5);
-  GruCell gru(2, 3);
-  ParamRegistry reg = InitLayer(&gru, &rng);
-  const Vec x0 = {0.5, -0.3}, x1 = {-0.2, 0.8};
-  const Vec dy = {1.0, 0.5, -0.7};  // gradient on final hidden state
-
-  auto loss = [&]() {
-    const Vec h1 = gru.Forward(x0, Vec(3, 0.0), nullptr);
-    const Vec h2 = gru.Forward(x1, h1, nullptr);
-    return Dot(dy, h2);
-  };
-
-  GruCache c0, c1;
-  const Vec h1 = gru.Forward(x0, Vec(3, 0.0), &c0);
-  (void)gru.Forward(x1, h1, &c1);
-  reg.ZeroGrads();
-  Vec dx1, dh1;
-  gru.Backward(c1, dy, &dx1, &dh1);
-  Vec dx0, dh_init;
-  gru.Backward(c0, dh1, &dx0, &dh_init);
-
-  for (Param* p : reg.params()) {
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      for (size_t c = 0; c < p->value.cols(); ++c) {
-        EXPECT_NEAR(p->grad(r, c), NumericalGrad(p, r, c, loss), 1e-5);
-      }
-    }
   }
 }
 
