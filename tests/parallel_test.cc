@@ -1,14 +1,23 @@
 // Tests for the retina::par execution layer: chunking contract, exception
 // propagation, nested use, RNG stream derivation, and the determinism
-// regressions pinning bit-identical training and task features at any
-// thread count.
+// regressions pinning bit-identical training, task features, world
+// generation and the SIR / General Threshold baselines at any thread
+// count.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -21,7 +30,10 @@
 #include "core/hategen_task.h"
 #include "core/retina.h"
 #include "core/retweet_task.h"
+#include "datagen/serialize.h"
 #include "datagen/world.h"
+#include "diffusion/sir.h"
+#include "diffusion/threshold.h"
 #include "io/checkpoint.h"
 #include "ml/random_forest.h"
 
@@ -423,6 +435,145 @@ TEST(DeterminismTest, TaskFeaturesBitIdenticalAcrossThreadCounts) {
   built4.SetHistorySize(fc.history_size);
   EXPECT_TRUE(TaskBits(built4, 4) == reference) << "SetHistorySize back";
   par::SetNumThreads(par::DefaultNumThreads());
+}
+
+// --------------------------- Determinism regression: world generation --
+
+// Every file ExportWorldCsv writes for the world generated at `threads`
+// threads, by name. Doubles are written with %.17g, so equal text means
+// equal bits.
+std::map<std::string, std::string> GeneratedWorldFiles(size_t threads) {
+  par::SetNumThreads(threads);
+  datagen::WorldConfig wc;
+  wc.scale = 0.03;
+  wc.num_users = 300;
+  wc.history_length = 12;
+  const auto world = datagen::SyntheticWorld::Generate(wc, 9);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("retina_parallel_world_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(datagen::ExportWorldCsv(world, dir.string()).ok());
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  std::filesystem::remove_all(dir);
+  return files;
+}
+
+TEST(DeterminismTest, WorldGenerateBitIdenticalAcrossThreadCounts) {
+  const auto reference = GeneratedWorldFiles(1);
+  ASSERT_FALSE(reference.empty());
+  for (const size_t threads : {2u, 4u, 8u}) {
+    const auto got = GeneratedWorldFiles(threads);
+    ASSERT_EQ(got.size(), reference.size()) << "threads=" << threads;
+    for (const auto& [name, bytes] : reference) {
+      const auto it = got.find(name);
+      ASSERT_NE(it, got.end()) << name;
+      EXPECT_TRUE(it->second == bytes)
+          << name << " differs at " << threads << " threads";
+    }
+  }
+  par::SetNumThreads(par::DefaultNumThreads());
+}
+
+// ------------------------ Determinism regression: cascade baselines --
+
+// A small world with its retweet task, built once at the default thread
+// count.
+struct CascadeFixture {
+  datagen::SyntheticWorld world;
+  std::unique_ptr<core::FeatureExtractor> extractor;
+  core::RetweetTask task;
+};
+
+const CascadeFixture& SharedCascadeFixture() {
+  static const CascadeFixture* fixture = [] {
+    datagen::WorldConfig wc;
+    wc.scale = 0.03;
+    wc.num_users = 300;
+    wc.history_length = 12;
+    auto* f = new CascadeFixture{datagen::SyntheticWorld::Generate(wc, 21),
+                                 nullptr, {}};
+    core::FeatureConfig fc;
+    fc.history_size = 8;
+    fc.history_tfidf_dim = 40;
+    fc.news_tfidf_dim = 40;
+    fc.tweet_tfidf_dim = 40;
+    fc.doc2vec_dim = 12;
+    fc.doc2vec_epochs = 2;
+    auto fx = core::FeatureExtractor::Build(f->world, fc);
+    EXPECT_TRUE(fx.ok()) << fx.status().ToString();
+    f->extractor = std::make_unique<core::FeatureExtractor>(
+        std::move(fx).ValueOrDie());
+    core::RetweetTaskOptions opts;
+    opts.min_news = 20;
+    auto task = core::BuildRetweetTask(*f->extractor, opts);
+    EXPECT_TRUE(task.ok()) << task.status().ToString();
+    f->task = std::move(task).ValueOrDie();
+    return f;
+  }();
+  return *fixture;
+}
+
+// What one baseline fit leaves behind.
+struct FittedBaseline {
+  Vec rates;   // the fitted rates
+  Vec scores;  // ScoreCandidates over the test split
+  double full_population_f1 = 0.0;
+};
+
+// Runs `fit` at 1, 2, 4 and 8 threads and expects the same rates, scores
+// and full-population macro-F1 every time.
+void ExpectBaselineBitIdenticalAcrossThreadCounts(
+    const std::function<FittedBaseline()>& fit) {
+  par::SetNumThreads(1);
+  const FittedBaseline ref = fit();
+  ASSERT_FALSE(ref.scores.empty());
+  for (const size_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    par::SetNumThreads(threads);
+    const FittedBaseline got = fit();
+    ASSERT_EQ(got.rates.size(), ref.rates.size());
+    for (size_t r = 0; r < ref.rates.size(); ++r) {
+      EXPECT_EQ(got.rates[r], ref.rates[r]) << "rate " << r;
+    }
+    ASSERT_EQ(got.scores.size(), ref.scores.size());
+    for (size_t i = 0; i < ref.scores.size(); ++i) {
+      EXPECT_EQ(got.scores[i], ref.scores[i]) << "candidate " << i;
+    }
+    EXPECT_EQ(got.full_population_f1, ref.full_population_f1);
+  }
+  par::SetNumThreads(par::DefaultNumThreads());
+}
+
+TEST(DeterminismTest, SirBitIdenticalAcrossThreadCounts) {
+  const CascadeFixture& f = SharedCascadeFixture();
+  ExpectBaselineBitIdenticalAcrossThreadCounts([&] {
+    diffusion::SirOptions opts;
+    opts.fit_cascades = 12;
+    diffusion::SirModel sir(&f.world, opts);
+    EXPECT_TRUE(sir.Fit(f.task).ok());
+    return FittedBaseline{{sir.beta(), sir.gamma()},
+                          sir.ScoreCandidates(f.task, f.task.test),
+                          sir.FullPopulationMacroF1(f.task)};
+  });
+}
+
+TEST(DeterminismTest, ThresholdBitIdenticalAcrossThreadCounts) {
+  const CascadeFixture& f = SharedCascadeFixture();
+  ExpectBaselineBitIdenticalAcrossThreadCounts([&] {
+    diffusion::ThresholdOptions opts;
+    opts.fit_cascades = 12;
+    diffusion::ThresholdModel threshold(&f.world, opts);
+    EXPECT_TRUE(threshold.Fit(f.task).ok());
+    return FittedBaseline{{threshold.influence()},
+                          threshold.ScoreCandidates(f.task, f.task.test),
+                          threshold.FullPopulationMacroF1(f.task)};
+  });
 }
 
 }  // namespace
