@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/obs.h"
-#include "common/parallel.h"
-#include "ml/metrics.h"
 
 namespace retina::diffusion {
 
@@ -45,56 +43,21 @@ Status SirModel::Fit(const core::RetweetTask& task) {
   if (task.train.empty()) {
     return Status::FailedPrecondition("SirModel::Fit: empty train split");
   }
-  // Use the first fit_cascades distinct train tweets.
-  std::vector<std::pair<size_t, size_t>> groups;
-  for (size_t i = 0; i < task.train.size();) {
-    size_t j = i + 1;
-    while (j < task.train.size() &&
-           task.train[j].tweet_pos == task.train[i].tweet_pos) {
-      ++j;
-    }
-    groups.emplace_back(i, j);
-    i = j;
-    if (groups.size() >= options_.fit_cascades) break;
-  }
-
-  double best_f1 = -1.0;
-  size_t grid_point = 0;
-  for (double beta : options_.beta_grid) {
-    for (double gamma : options_.gamma_grid) {
-      // Each (grid point, cascade) flood draws from its own seed-derived
-      // stream, so the grid search parallelizes over cascades without the
-      // thread count perturbing any simulation.
-      std::vector<std::vector<int>> preds(groups.size());
-      par::ParallelFor(groups.size(), 1, [&](size_t g) {
-        const auto& [begin, end] = groups[g];
-        const auto& ctx = task.tweets[task.train[begin].tweet_pos];
-        const datagen::NodeId root = world_->tweets()[ctx.tweet_id].author;
-        Rng sim_rng =
-            Rng::Stream(options_.seed, grid_point * groups.size() + g);
-        const std::vector<char> infected =
-            Simulate(root, beta, gamma, &sim_rng);
-        preds[g].reserve(end - begin);
-        for (size_t s = begin; s < end; ++s) {
-          preds[g].push_back(infected[task.train[s].user] ? 1 : 0);
-        }
+  // The (beta, gamma) grid, beta-major.
+  const auto& betas = options_.beta_grid;
+  const auto& gammas = options_.gamma_grid;
+  const size_t n_gamma = gammas.size();
+  const auto beta = [&](size_t p) { return betas[p / n_gamma]; };
+  const auto gamma = [&](size_t p) { return gammas[p % n_gamma]; };
+  const size_t n_points = betas.size() * n_gamma;
+  const size_t best = FitGridPoint(
+      *world_, task, options_.fit_cascades, options_.seed, n_points,
+      [&](size_t p, datagen::NodeId root, Rng* rng) {
+        return Simulate(root, beta(p), gamma(p), rng);
       });
-      std::vector<int> y_true, y_pred;
-      for (size_t g = 0; g < groups.size(); ++g) {
-        const auto& [begin, end] = groups[g];
-        for (size_t s = begin; s < end; ++s) {
-          y_true.push_back(task.train[s].label);
-        }
-        y_pred.insert(y_pred.end(), preds[g].begin(), preds[g].end());
-      }
-      const double f1 = ml::MacroF1(y_true, y_pred);
-      if (f1 > best_f1) {
-        best_f1 = f1;
-        beta_ = beta;
-        gamma_ = gamma;
-      }
-      ++grid_point;
-    }
+  if (best < n_points) {
+    beta_ = beta(best);
+    gamma_ = gamma(best);
   }
   return Status::OK();
 }
@@ -102,83 +65,19 @@ Status SirModel::Fit(const core::RetweetTask& task) {
 Vec SirModel::ScoreCandidates(
     const core::RetweetTask& task,
     const std::vector<core::RetweetCandidate>& candidates) {
-  const uint64_t base_seed = options_.seed ^ 0xABCDULL;
-  Vec scores(candidates.size(), 0.0);
-  const size_t n_sims = static_cast<size_t>(std::max(options_.simulations, 0));
-  // Group by tweet so each simulation batch is reused for its candidates.
-  size_t group_ordinal = 0;
-  for (size_t i = 0; i < candidates.size();) {
-    size_t j = i + 1;
-    while (j < candidates.size() &&
-           candidates[j].tweet_pos == candidates[i].tweet_pos) {
-      ++j;
-    }
-    const auto& ctx = task.tweets[candidates[i].tweet_pos];
-    const datagen::NodeId root = world_->tweets()[ctx.tweet_id].author;
-    // Monte-Carlo floods run in parallel, one seed-derived stream per
-    // (group, simulation); per-chunk hit counts reduce in chunk order.
-    const Vec counts = par::ParallelReduce<Vec>(
-        n_sims, 1, Vec(j - i, 0.0),
-        [&](const par::ChunkRange& chunk) {
-          Vec local(j - i, 0.0);
-          for (size_t sim = chunk.begin; sim < chunk.end; ++sim) {
-            Rng sim_rng =
-                Rng::Stream(base_seed, group_ordinal * n_sims + sim);
-            const std::vector<char> infected =
-                Simulate(root, beta_, gamma_, &sim_rng);
-            for (size_t s = i; s < j; ++s) {
-              if (infected[candidates[s].user]) local[s - i] += 1.0;
-            }
-          }
-          return local;
-        },
-        [](Vec acc, Vec chunk_counts) {
-          Axpy(1.0, chunk_counts, &acc);
-          return acc;
-        });
-    for (size_t s = i; s < j; ++s) {
-      scores[s] = counts[s - i] / static_cast<double>(options_.simulations);
-    }
-    i = j;
-    ++group_ordinal;
-  }
-  return scores;
+  return MonteCarloScores(*world_, task, candidates, options_.simulations,
+                          options_.seed ^ 0xABCDULL, FittedFlood());
 }
 
 double SirModel::FullPopulationMacroF1(const core::RetweetTask& task) {
-  const uint64_t base_seed = options_.seed ^ 0xF00DULL;
-  // Distinct test cascades.
-  std::vector<size_t> tweet_positions;
-  for (const auto& cand : task.test) {
-    if (tweet_positions.empty() || tweet_positions.back() != cand.tweet_pos) {
-      tweet_positions.push_back(cand.tweet_pos);
-    }
-  }
-  const size_t n_users = world_->NumUsers();
-  // Every cascade owns a disjoint slice of the flat label arrays; floods
-  // draw from per-cascade streams, so the parallel fill is deterministic.
-  const size_t stride = n_users == 0 ? 0 : n_users - 1;
-  std::vector<int> y_true(tweet_positions.size() * stride, 0);
-  std::vector<int> y_pred(tweet_positions.size() * stride, 0);
-  par::ParallelFor(tweet_positions.size(), 1, [&](size_t k) {
-    const size_t pos = tweet_positions[k];
-    const size_t tweet_id = task.tweets[pos].tweet_id;
-    const datagen::NodeId root = world_->tweets()[tweet_id].author;
-    Rng sim_rng = Rng::Stream(base_seed, k);
-    const std::vector<char> infected = Simulate(root, beta_, gamma_, &sim_rng);
-    std::vector<char> retweeted(n_users, 0);
-    for (const auto& rt : world_->cascades()[tweet_id].retweets) {
-      retweeted[rt.user] = 1;
-    }
-    size_t out = k * stride;
-    for (size_t u = 0; u < n_users; ++u) {
-      if (u == root) continue;
-      y_true[out] = retweeted[u];
-      y_pred[out] = infected[u];
-      ++out;
-    }
-  });
-  return ml::MacroF1(y_true, y_pred);
+  return MonteCarloFullPopulationMacroF1(*world_, task, options_.seed,
+                                         FittedFlood());
+}
+
+Flood SirModel::FittedFlood() const {
+  return [this](datagen::NodeId root, Rng* rng) {
+    return Simulate(root, beta_, gamma_, rng);
+  };
 }
 
 }  // namespace retina::diffusion

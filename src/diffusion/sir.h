@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "core/retweet_task.h"
 #include "datagen/world.h"
+#include "diffusion/monte_carlo.h"
 
 namespace retina::diffusion {
 
@@ -70,6 +71,8 @@ class SirModel {
   /// a node mask.
   std::vector<char> Simulate(datagen::NodeId root, double beta, double gamma,
                              Rng* rng) const;
+  /// Simulate at the current (beta, gamma).
+  Flood FittedFlood() const;
 
   const datagen::SyntheticWorld* world_;
   SirOptions options_;

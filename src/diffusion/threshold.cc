@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/obs.h"
-#include "common/parallel.h"
-#include "ml/metrics.h"
 
 namespace retina::diffusion {
 
@@ -55,130 +53,32 @@ Status ThresholdModel::Fit(const core::RetweetTask& task) {
   if (task.train.empty()) {
     return Status::FailedPrecondition("ThresholdModel::Fit: empty train");
   }
-  std::vector<std::pair<size_t, size_t>> groups;
-  for (size_t i = 0; i < task.train.size();) {
-    size_t j = i + 1;
-    while (j < task.train.size() &&
-           task.train[j].tweet_pos == task.train[i].tweet_pos) {
-      ++j;
-    }
-    groups.emplace_back(i, j);
-    i = j;
-    if (groups.size() >= options_.fit_cascades) break;
-  }
-
-  double best_f1 = -1.0;
-  size_t grid_point = 0;
-  for (double influence : options_.influence_grid) {
-    // Per-(grid point, cascade) streams keep the parallel grid search
-    // independent of the thread count.
-    std::vector<std::vector<int>> preds(groups.size());
-    par::ParallelFor(groups.size(), 1, [&](size_t g) {
-      const auto& [begin, end] = groups[g];
-      const auto& ctx = task.tweets[task.train[begin].tweet_pos];
-      const datagen::NodeId root = world_->tweets()[ctx.tweet_id].author;
-      Rng sim_rng =
-          Rng::Stream(options_.seed, grid_point * groups.size() + g);
-      const std::vector<char> active = Simulate(root, influence, &sim_rng);
-      preds[g].reserve(end - begin);
-      for (size_t s = begin; s < end; ++s) {
-        preds[g].push_back(active[task.train[s].user] ? 1 : 0);
-      }
-    });
-    std::vector<int> y_true, y_pred;
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const auto& [begin, end] = groups[g];
-      for (size_t s = begin; s < end; ++s) {
-        y_true.push_back(task.train[s].label);
-      }
-      y_pred.insert(y_pred.end(), preds[g].begin(), preds[g].end());
-    }
-    const double f1 = ml::MacroF1(y_true, y_pred);
-    if (f1 > best_f1) {
-      best_f1 = f1;
-      influence_ = influence;
-    }
-    ++grid_point;
-  }
+  const std::vector<double>& grid = options_.influence_grid;
+  const size_t best = FitGridPoint(
+      *world_, task, options_.fit_cascades, options_.seed, grid.size(),
+      [&](size_t point, datagen::NodeId root, Rng* rng) {
+        return Simulate(root, grid[point], rng);
+      });
+  if (best < grid.size()) influence_ = grid[best];
   return Status::OK();
 }
 
 Vec ThresholdModel::ScoreCandidates(
     const core::RetweetTask& task,
     const std::vector<core::RetweetCandidate>& candidates) {
-  const uint64_t base_seed = options_.seed ^ 0x7777ULL;
-  Vec scores(candidates.size(), 0.0);
-  const size_t n_sims = static_cast<size_t>(std::max(options_.simulations, 0));
-  size_t group_ordinal = 0;
-  for (size_t i = 0; i < candidates.size();) {
-    size_t j = i + 1;
-    while (j < candidates.size() &&
-           candidates[j].tweet_pos == candidates[i].tweet_pos) {
-      ++j;
-    }
-    const auto& ctx = task.tweets[candidates[i].tweet_pos];
-    const datagen::NodeId root = world_->tweets()[ctx.tweet_id].author;
-    // Parallel Monte-Carlo floods; per-chunk activation counts reduce in
-    // chunk order (see sir.cc for the stream-derivation convention).
-    const Vec counts = par::ParallelReduce<Vec>(
-        n_sims, 1, Vec(j - i, 0.0),
-        [&](const par::ChunkRange& chunk) {
-          Vec local(j - i, 0.0);
-          for (size_t sim = chunk.begin; sim < chunk.end; ++sim) {
-            Rng sim_rng =
-                Rng::Stream(base_seed, group_ordinal * n_sims + sim);
-            const std::vector<char> active =
-                Simulate(root, influence_, &sim_rng);
-            for (size_t s = i; s < j; ++s) {
-              if (active[candidates[s].user]) local[s - i] += 1.0;
-            }
-          }
-          return local;
-        },
-        [](Vec acc, Vec chunk_counts) {
-          Axpy(1.0, chunk_counts, &acc);
-          return acc;
-        });
-    for (size_t s = i; s < j; ++s) {
-      scores[s] = counts[s - i] / static_cast<double>(options_.simulations);
-    }
-    i = j;
-    ++group_ordinal;
-  }
-  return scores;
+  return MonteCarloScores(*world_, task, candidates, options_.simulations,
+                          options_.seed ^ 0x7777ULL, FittedFlood());
 }
 
 double ThresholdModel::FullPopulationMacroF1(const core::RetweetTask& task) {
-  const uint64_t base_seed = options_.seed ^ 0xF00DULL;
-  std::vector<size_t> tweet_positions;
-  for (const auto& cand : task.test) {
-    if (tweet_positions.empty() || tweet_positions.back() != cand.tweet_pos) {
-      tweet_positions.push_back(cand.tweet_pos);
-    }
-  }
-  const size_t n_users = world_->NumUsers();
-  const size_t stride = n_users == 0 ? 0 : n_users - 1;
-  std::vector<int> y_true(tweet_positions.size() * stride, 0);
-  std::vector<int> y_pred(tweet_positions.size() * stride, 0);
-  par::ParallelFor(tweet_positions.size(), 1, [&](size_t k) {
-    const size_t pos = tweet_positions[k];
-    const size_t tweet_id = task.tweets[pos].tweet_id;
-    const datagen::NodeId root = world_->tweets()[tweet_id].author;
-    Rng sim_rng = Rng::Stream(base_seed, k);
-    const std::vector<char> active = Simulate(root, influence_, &sim_rng);
-    std::vector<char> retweeted(n_users, 0);
-    for (const auto& rt : world_->cascades()[tweet_id].retweets) {
-      retweeted[rt.user] = 1;
-    }
-    size_t out = k * stride;
-    for (size_t u = 0; u < n_users; ++u) {
-      if (u == root) continue;
-      y_true[out] = retweeted[u];
-      y_pred[out] = active[u];
-      ++out;
-    }
-  });
-  return ml::MacroF1(y_true, y_pred);
+  return MonteCarloFullPopulationMacroF1(*world_, task, options_.seed,
+                                         FittedFlood());
+}
+
+Flood ThresholdModel::FittedFlood() const {
+  return [this](datagen::NodeId root, Rng* rng) {
+    return Simulate(root, influence_, rng);
+  };
 }
 
 }  // namespace retina::diffusion

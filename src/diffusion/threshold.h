@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "core/retweet_task.h"
 #include "datagen/world.h"
+#include "diffusion/monte_carlo.h"
 
 namespace retina::diffusion {
 
@@ -53,6 +54,8 @@ class ThresholdModel {
  private:
   std::vector<char> Simulate(datagen::NodeId root, double influence,
                              Rng* rng) const;
+  /// Simulate at the current influence scale.
+  Flood FittedFlood() const;
 
   const datagen::SyntheticWorld* world_;
   ThresholdOptions options_;
