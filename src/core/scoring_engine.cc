@@ -52,34 +52,6 @@ ScoringEngine::ScoringEngine(const Retina* model,
                     << (options_.cache_features ? "" : " (caching off)");
 }
 
-Result<std::unique_ptr<ScoringEngine>> ScoringEngine::FromCheckpoint(
-    const datagen::SyntheticWorld& world, const io::Checkpoint& ckpt,
-    ScoringEngineOptions options) {
-  auto model_result = Retina::Load(ckpt, "retina/");
-  RETINA_RETURN_NOT_OK(model_result.status());
-  std::unique_ptr<Retina> model = std::move(model_result).ValueOrDie();
-
-  auto fx_result = FeatureExtractor::Restore(world, ckpt, "features/");
-  RETINA_RETURN_NOT_OK(fx_result.status());
-  auto extractor =
-      std::make_unique<FeatureExtractor>(std::move(fx_result).ValueOrDie());
-
-  // The restored extractor must produce vectors the model was trained on:
-  // the first layer consumes [user_features ; tweet_content].
-  if (extractor->RetweetUserDim() + extractor->TweetContentDim() !=
-      model->input_dim()) {
-    return Status::InvalidArgument(
-        "checkpoint mismatch: extractor feature width does not match "
-        "the model's input dimension");
-  }
-
-  auto engine = std::unique_ptr<ScoringEngine>(
-      new ScoringEngine(model.get(), extractor.get(), options));
-  engine->owned_model_ = std::move(model);
-  engine->owned_extractor_ = std::move(extractor);
-  return engine;
-}
-
 namespace {
 
 // Accounted LRU cost of a cached history block: the sparse payload plus

@@ -51,7 +51,6 @@
 #include "core/feature_extractor.h"
 #include "core/retina.h"
 #include "core/retweet_task.h"
-#include "io/checkpoint.h"
 #include "store/feature_store.h"
 
 namespace retina::core {
@@ -80,16 +79,6 @@ class ScoringEngine {
   /// The model and extractor must outlive the engine.
   ScoringEngine(const Retina* model, const FeatureExtractor* extractor,
                 ScoringEngineOptions options = {});
-
-  /// Train-once / serve-many entry point: builds an engine that OWNS its
-  /// model and extractor, both restored from a checkpoint written by
-  /// io::SaveScoringBundle (model under "retina/", extractor under
-  /// "features/"). `world` must be the world the bundle was trained on
-  /// and must outlive the engine. Scores are bit-identical to an engine
-  /// wrapping the in-process trained model.
-  static Result<std::unique_ptr<ScoringEngine>> FromCheckpoint(
-      const datagen::SyntheticWorld& world, const io::Checkpoint& ckpt,
-      ScoringEngineOptions options = {});
 
   /// Scores `users` as retweet candidates for `tweet` (one serving
   /// request) into a caller-owned (and ideally reused) vector — `scores`
@@ -132,8 +121,6 @@ class ScoringEngine {
   const store::FeatureStore* store() const { return store_.get(); }
 
   const ScoringEngineOptions& options() const { return options_; }
-  /// Current byte footprint of the per-user LRU (accounted costs).
-  size_t user_cache_bytes() const { return user_cache_.bytes(); }
 
  private:
   /// Tweet-side request state shared by all candidates of one request.
@@ -157,9 +144,6 @@ class ScoringEngine {
 
   const Retina* model_;
   const FeatureExtractor* extractor_;
-  /// Set only by FromCheckpoint; model_/extractor_ alias these.
-  std::unique_ptr<Retina> owned_model_;
-  std::unique_ptr<FeatureExtractor> owned_extractor_;
   /// Cold tier behind the LRU; nullptr until AttachStore.
   std::unique_ptr<store::FeatureStore> store_;
   ScoringEngineOptions options_;

@@ -584,55 +584,27 @@ TEST(RetinaCheckpointTest, DynamicSaveLoadScoresBitIdentically) {
   CheckRetinaRoundTrip(/*dynamic=*/true);
 }
 
-TEST(ScoringEngineTest, FromCheckpointBitIdenticalAcrossAllModes) {
-  // A served engine rebuilt purely from checkpoint state must reproduce
-  // the in-process model's scores across the full batched x cached grid.
-  auto& f = SharedFixture();
-  const auto model = TrainModel(f.task, /*dynamic=*/false);
-  io::Checkpoint ckpt;
-  ASSERT_TRUE(model->Save(&ckpt, "retina/").ok());
-  f.extractor->SaveTo(&ckpt, "features/");
-  auto reloaded =
-      io::Checkpoint::DeserializeFromBytes(ckpt.SerializeToBytes());
-  ASSERT_TRUE(reloaded.ok());
-
-  const Vec reference = model->ScoreCandidates(f.task, f.task.test);
-  const obs::Counter* computed = obs::Registry::Global().GetCounter(
-      "features.history_blocks_computed");
-  for (const bool batched : {false, true}) {
-    for (const bool cached : {false, true}) {
-      ScoringEngineOptions opts;
-      opts.batched = batched;
-      opts.cache_features = cached;
-      const uint64_t computed_before = computed->Get();
-      auto engine =
-          ScoringEngine::FromCheckpoint(f.world, reloaded.ValueOrDie(), opts);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      // Restore keeps fitted state only: startup computes no user features.
-      EXPECT_EQ(computed->Get() - computed_before, 0u);
-      const Vec served = ServeTestSplit(engine.ValueOrDie().get(), f.task);
-      ASSERT_EQ(served.size(), reference.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(served[i], reference[i])
-            << "batched=" << batched << " cached=" << cached << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ScoringEngineTest, FromCheckpointRejectsDoc2VecDimMismatch) {
+TEST(FeatureExtractorRestoreTest, RejectsDoc2VecDimMismatch) {
   // A config doc2vec_dim that disagrees with the saved Doc2Vec model would
   // size news windows and alignment buffers narrower than the model's rows.
   auto& f = SharedFixture();
-  const auto model = TrainModel(f.task, /*dynamic=*/false);
   io::Checkpoint ckpt;
-  ASSERT_TRUE(model->Save(&ckpt, "retina/").ok());
   f.extractor->SaveTo(&ckpt, "features/");
   ckpt.PutI64("features/config/doc2vec_dim", 13);  // the model is 12 wide
-  auto engine = ScoringEngine::FromCheckpoint(f.world, ckpt, {});
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
-      << engine.status().ToString();
+  auto restored = FeatureExtractor::Restore(f.world, ckpt, "features/");
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+      << restored.status().ToString();
+}
+
+// A fresh directory for one bundle under the system temp dir.
+std::string BundleDir(const std::string& tag) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("retina_bundle_test_" + std::to_string(::getpid()) + "_" + tag))
+          .string();
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 TEST(ScoringEngineTest, BundleFromDiskBitIdenticalToInProcessModel) {
@@ -640,18 +612,19 @@ TEST(ScoringEngineTest, BundleFromDiskBitIdenticalToInProcessModel) {
   // directory, LoadScoringBundle in a "fresh process", score identically.
   auto& f = SharedFixture();
   const auto model = TrainModel(f.task, /*dynamic=*/true);
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("retina_bundle_test_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
+  const std::string dir = BundleDir("dynamic");
   ScoringBundleMeta meta;
   meta.task_seed = 43;
   ASSERT_TRUE(SaveScoringBundle(dir, *model, *f.extractor, meta).ok());
 
+  const obs::Counter* computed = obs::Registry::Global().GetCounter(
+      "features.history_blocks_computed");
+  const uint64_t computed_before = computed->Get();
   auto bundle = LoadScoringBundle(dir, f.world);
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  // Restore keeps fitted state only: loading computes no user features.
+  EXPECT_EQ(computed->Get() - computed_before, 0u);
   const LoadedScoringBundle& loaded = bundle.ValueOrDie();
   EXPECT_EQ(loaded.meta.task_seed, 43u);
 
@@ -662,6 +635,26 @@ TEST(ScoringEngineTest, BundleFromDiskBitIdenticalToInProcessModel) {
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
   }
+}
+
+TEST(ScoringEngineTest, BundleRejectsModelWidthMismatch) {
+  // A model whose first layer is one column wider than the extractor's
+  // [user_features ; tweet_content] rows cannot score them.
+  auto& f = SharedFixture();
+  RetinaOptions opts;
+  opts.hidden = 12;
+  const Retina model(f.task.user_dim + 1, f.task.content_dim,
+                     f.task.embed_dim, f.task.NumIntervals(), opts);
+  const std::string dir = BundleDir("mismatch");
+  ASSERT_TRUE(SaveScoringBundle(dir, model, *f.extractor, {}).ok());
+  auto bundle = LoadScoringBundle(dir, f.world);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(bundle.ok());
+  EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument)
+      << bundle.status().ToString();
+  EXPECT_NE(bundle.status().ToString().find("feature width"),
+            std::string::npos)
+      << bundle.status().ToString();
 }
 
 TEST(ScoringEngineTest, TinyUserCacheEvictsAndStaysCorrect) {
