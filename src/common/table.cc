@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <fstream>
 
 namespace retina {
 
@@ -46,30 +45,5 @@ std::string TableWriter::Render() const {
 }
 
 void TableWriter::Print() const { std::fputs(Render().c_str(), stdout); }
-
-Status TableWriter::WriteCsv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return Status::IOError("cannot open " + path);
-  auto write_row = [&f](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) f << ',';
-      // Quote cells containing commas or quotes.
-      if (row[c].find_first_of(",\"\n") != std::string::npos) {
-        f << '"';
-        for (char ch : row[c]) {
-          if (ch == '"') f << '"';
-          f << ch;
-        }
-        f << '"';
-      } else {
-        f << row[c];
-      }
-    }
-    f << '\n';
-  };
-  write_row(header_);
-  for (const auto& row : rows_) write_row(row);
-  return f.good() ? Status::OK() : Status::IOError("write failed: " + path);
-}
 
 }  // namespace retina

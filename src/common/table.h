@@ -1,13 +1,11 @@
 // Console table writer used by the benchmark harnesses to print
-// paper-style tables (aligned columns) and optional CSV dumps.
+// paper-style tables (aligned columns).
 
 #ifndef RETINA_COMMON_TABLE_H_
 #define RETINA_COMMON_TABLE_H_
 
 #include <string>
 #include <vector>
-
-#include "common/status.h"
 
 namespace retina {
 
@@ -30,9 +28,6 @@ class TableWriter {
 
   /// Renders to stdout.
   void Print() const;
-
-  /// Writes the table as CSV to `path`.
-  Status WriteCsv(const std::string& path) const;
 
   size_t num_rows() const { return rows_.size(); }
 

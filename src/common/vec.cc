@@ -163,18 +163,4 @@ Vec Concat(const Vec& a, const Vec& b) {
   return out;
 }
 
-void MinMaxNormalizeInPlace(Vec* v) {
-  if (v->empty()) return;
-  const auto [mn_it, mx_it] = std::minmax_element(v->begin(), v->end());
-  const double mn = *mn_it, mx = *mx_it;
-  if (mx - mn < 1e-12) return;
-  for (double& x : *v) x = (x - mn) / (mx - mn);
-}
-
-void L2NormalizeInPlace(Vec* v) {
-  const double n = Norm2(*v);
-  if (n < 1e-12) return;
-  simd::DivInPlace(n, v->data(), v->size());
-}
-
 }  // namespace retina

@@ -85,17 +85,6 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
-  /// Row r as a span — the no-copy accessor hot loops should prefer over
-  /// RowVec.
-  std::span<double> RowSpan(size_t r) {
-    assert(r < rows_);
-    return {Row(r), cols_};
-  }
-  std::span<const double> RowSpan(size_t r) const {
-    assert(r < rows_);
-    return {Row(r), cols_};
-  }
-
   /// Copies row r into a Vec.
   Vec RowVec(size_t r) const {
     assert(r < rows_);
@@ -190,13 +179,6 @@ Vec Add(const Vec& a, const Vec& b);
 
 /// Concatenates b onto a copy of a.
 Vec Concat(const Vec& a, const Vec& b);
-
-/// Min-max normalizes v in place to [0,1] per element range of the vector;
-/// no-op when the range is degenerate.
-void MinMaxNormalizeInPlace(Vec* v);
-
-/// L2-normalizes v in place; no-op on the zero vector.
-void L2NormalizeInPlace(Vec* v);
 
 }  // namespace retina
 

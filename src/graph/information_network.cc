@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 namespace retina::graph {
 
@@ -67,13 +66,6 @@ bool InformationNetwork::HasEdge(NodeId u, NodeId v) const {
   return std::binary_search(f.begin(), f.end(), v);
 }
 
-int InformationNetwork::ShortestPathLength(NodeId src, NodeId dst,
-                                           int cutoff) const {
-  if (src == dst) return 0;
-  std::vector<int> dist = BfsDistances(src, cutoff);
-  return dist[dst];
-}
-
 std::vector<int> InformationNetwork::BfsDistances(NodeId src,
                                                   int cutoff) const {
   std::vector<int> dist(NumNodes(), kUnreachable);
@@ -92,18 +84,6 @@ std::vector<int> InformationNetwork::BfsDistances(NodeId src,
     }
   }
   return dist;
-}
-
-size_t CountSusceptible(const InformationNetwork& net,
-                        const std::vector<NodeId>& participants) {
-  std::unordered_set<NodeId> member(participants.begin(), participants.end());
-  std::unordered_set<NodeId> exposed;
-  for (NodeId p : participants) {
-    for (NodeId f : net.Followers(p)) {
-      if (member.count(f) == 0) exposed.insert(f);
-    }
-  }
-  return exposed.size();
 }
 
 }  // namespace retina::graph

@@ -48,11 +48,6 @@ class InformationNetwork {
   /// True iff the edge (u, v) exists, i.e. v follows u. O(log deg(u)).
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// BFS shortest-path length from src to dst along follow edges
-  /// (information-flow direction). `cutoff` bounds the search depth;
-  /// returns kUnreachable if dst is farther than cutoff or disconnected.
-  int ShortestPathLength(NodeId src, NodeId dst, int cutoff = 6) const;
-
   /// BFS distances from src to all nodes within `cutoff` hops
   /// (kUnreachable beyond). O(V+E) but early-exits at the cutoff ring.
   std::vector<int> BfsDistances(NodeId src, int cutoff) const;
@@ -65,12 +60,6 @@ class InformationNetwork {
   std::vector<size_t> rev_offsets_;
   std::vector<NodeId> rev_targets_;
 };
-
-/// Number of distinct *susceptible* users for a cascade prefix: followers of
-/// any participant who are not themselves participants (the Figure 1(b)
-/// quantity). `participants` lists root + retweeters so far.
-size_t CountSusceptible(const InformationNetwork& net,
-                        const std::vector<NodeId>& participants);
 
 }  // namespace retina::graph
 

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "common/vec.h"
-#include "ml/dataset.h"
 
 namespace retina::ml {
 
@@ -41,8 +40,6 @@ class BinaryClassifier {
     for (size_t i = 0; i < p.size(); ++i) out[i] = p[i] >= 0.5 ? 1 : 0;
     return out;
   }
-
-  Status FitDataset(const Dataset& data) { return Fit(data.X, data.y); }
 };
 
 }  // namespace retina::ml

@@ -1,6 +1,5 @@
 #include "ml/dataset.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -24,19 +23,6 @@ Dataset Dataset::Select(const std::vector<size_t>& rows) const {
   return out;
 }
 
-void TrainTestSplit(const Dataset& data, double test_fraction, Rng* rng,
-                    Dataset* train, Dataset* test) {
-  std::vector<size_t> idx(data.NumRows());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  rng->Shuffle(&idx);
-  const size_t n_test =
-      static_cast<size_t>(std::llround(test_fraction * idx.size()));
-  std::vector<size_t> test_rows(idx.begin(), idx.begin() + n_test);
-  std::vector<size_t> train_rows(idx.begin() + n_test, idx.end());
-  *train = data.Select(train_rows);
-  *test = data.Select(test_rows);
-}
-
 namespace {
 void SplitByClass(const Dataset& data, std::vector<size_t>* pos,
                   std::vector<size_t>* neg) {
@@ -55,24 +41,6 @@ Dataset DownsampleMajority(const Dataset& data, Rng* rng) {
   for (size_t j : rng->SampleWithoutReplacement(majority->size(),
                                                 minority->size())) {
     keep.push_back((*majority)[j]);
-  }
-  rng->Shuffle(&keep);
-  return data.Select(keep);
-}
-
-Dataset UpsampleMinority(const Dataset& data, double ratio, Rng* rng) {
-  std::vector<size_t> pos, neg;
-  SplitByClass(data, &pos, &neg);
-  std::vector<size_t>* majority = pos.size() > neg.size() ? &pos : &neg;
-  std::vector<size_t>* minority = pos.size() > neg.size() ? &neg : &pos;
-  const size_t target = std::min(
-      majority->size(),
-      static_cast<size_t>(std::llround(ratio * minority->size())));
-  std::vector<size_t> keep = *majority;
-  keep.insert(keep.end(), minority->begin(), minority->end());
-  while (minority->size() > 0 &&
-         keep.size() < majority->size() + target) {
-    keep.push_back((*minority)[rng->UniformInt(minority->size())]);
   }
   rng->Shuffle(&keep);
   return data.Select(keep);
@@ -133,15 +101,6 @@ void StandardScaler::Transform(Matrix* X) const {
       row[j] = (row[j] - mean_[j]) * inv_std_[j];
     }
   }
-}
-
-Vec StandardScaler::TransformRow(const Vec& row) const {
-  assert(row.size() == mean_.size());
-  Vec out(row.size());
-  for (size_t j = 0; j < row.size(); ++j) {
-    out[j] = (row[j] - mean_[j]) * inv_std_[j];
-  }
-  return out;
 }
 
 }  // namespace retina::ml

@@ -23,16 +23,8 @@ struct Dataset {
   Dataset Select(const std::vector<size_t>& rows) const;
 };
 
-/// Shuffled train/test split with `test_fraction` rows held out.
-void TrainTestSplit(const Dataset& data, double test_fraction, Rng* rng,
-                    Dataset* train, Dataset* test);
-
 /// Downsamples the majority class to the minority count (paper's "DS").
 Dataset DownsampleMajority(const Dataset& data, Rng* rng);
-
-/// Upsamples the minority class (with replacement) to `ratio` times its
-/// size, capped at the majority count.
-Dataset UpsampleMinority(const Dataset& data, double ratio, Rng* rng);
 
 /// The paper's "US+DS": both classes resampled to the geometric mean of
 /// the class counts (upsampling the dominated class, downsampling the
@@ -45,7 +37,6 @@ class StandardScaler {
  public:
   void Fit(const Matrix& X);
   void Transform(Matrix* X) const;
-  Vec TransformRow(const Vec& row) const;
   bool fitted() const { return !mean_.empty(); }
 
  private:

@@ -44,8 +44,6 @@ class Pca {
   /// Explained variance per component (descending).
   const Vec& explained_variance() const { return explained_variance_; }
 
-  size_t NumComponents() const { return components_.rows(); }
-
  private:
   PcaOptions options_;
   Vec mean_;

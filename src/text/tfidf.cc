@@ -111,13 +111,6 @@ SparseVec TfIdfVectorizer::TransformSparse(
   return out;
 }
 
-Matrix TfIdfVectorizer::TransformBatch(
-    const std::vector<std::vector<std::string>>& docs) const {
-  Matrix out(docs.size(), Dim());
-  for (size_t i = 0; i < docs.size(); ++i) out.SetRow(i, Transform(docs[i]));
-  return out;
-}
-
 Vec TfIdfVectorizer::TransformAverage(
     const std::vector<std::vector<std::string>>& docs) const {
   Vec acc(Dim(), 0.0);

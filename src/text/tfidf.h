@@ -53,10 +53,6 @@ class TfIdfVectorizer {
   /// TransformSparse(doc).ToDense() == Transform(doc) exactly.
   SparseVec TransformSparse(const std::vector<std::string>& doc) const;
 
-  /// Transforms a batch (rows follow input order).
-  Matrix TransformBatch(
-      const std::vector<std::vector<std::string>>& docs) const;
-
   /// Average of transformed vectors over `docs` — used for the exogenous
   /// news feature (Section IV-D averages the 60 most recent headlines).
   /// Accumulates sparse transforms; each output entry sums the same terms

@@ -37,11 +37,4 @@ std::vector<std::string> Bigrams(const std::vector<std::string>& unigrams) {
   return out;
 }
 
-std::vector<std::string> UnigramsAndBigrams(std::string_view raw) {
-  std::vector<std::string> uni = Tokenize(raw);
-  std::vector<std::string> bi = Bigrams(uni);
-  uni.insert(uni.end(), bi.begin(), bi.end());
-  return uni;
-}
-
 }  // namespace retina::text

@@ -21,10 +21,6 @@ std::vector<std::string> Tokenize(std::string_view raw);
 /// Produces "a_b"-style bigram tokens from a unigram sequence.
 std::vector<std::string> Bigrams(const std::vector<std::string>& unigrams);
 
-/// Unigrams followed by bigrams — the feature token stream the paper's
-/// "unigram and bigram features weighted by tf-idf" uses (Section IV-A).
-std::vector<std::string> UnigramsAndBigrams(std::string_view raw);
-
 }  // namespace retina::text
 
 #endif  // RETINA_TEXT_TOKENIZER_H_

@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "common/logging.h"
@@ -328,24 +326,6 @@ TEST(VecTest, AddSubConcat) {
   EXPECT_EQ(Concat({1}, {2, 3}), (Vec{1, 2, 3}));
 }
 
-TEST(VecTest, MinMaxNormalize) {
-  Vec v = {0.0, 5.0, 10.0};
-  MinMaxNormalizeInPlace(&v);
-  EXPECT_EQ(v, (Vec{0.0, 0.5, 1.0}));
-  Vec flat = {2.0, 2.0};
-  MinMaxNormalizeInPlace(&flat);  // degenerate range: no-op
-  EXPECT_EQ(flat, (Vec{2.0, 2.0}));
-}
-
-TEST(VecTest, L2Normalize) {
-  Vec v = {3.0, 4.0};
-  L2NormalizeInPlace(&v);
-  EXPECT_NEAR(Norm2(v), 1.0, 1e-12);
-  Vec zero = {0.0, 0.0};
-  L2NormalizeInPlace(&zero);  // no-op
-  EXPECT_EQ(zero, (Vec{0.0, 0.0}));
-}
-
 // ---------------------------------------------------------------- Matrix --
 
 TEST(MatrixTest, IndexingAndRows) {
@@ -516,25 +496,6 @@ TEST(TableTest, RendersAlignedRows) {
   EXPECT_NE(out.find("| DT"), std::string::npos);
   EXPECT_NE(out.find("LongerName"), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(TableTest, WritesCsvWithQuoting) {
-  TableWriter t("", {"a", "b"});
-  t.AddRow({"x,y", "plain"});
-  const std::string path = "/tmp/retina_table_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(f, line);
-  EXPECT_EQ(line, "\"x,y\",plain");
-  std::remove(path.c_str());
-}
-
-TEST(TableTest, CsvToBadPathFails) {
-  TableWriter t("", {"a"});
-  EXPECT_FALSE(t.WriteCsv("/nonexistent-dir/x.csv").ok());
 }
 
 }  // namespace

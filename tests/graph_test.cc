@@ -59,20 +59,6 @@ TEST(InformationNetworkTest, HasEdge) {
   EXPECT_FALSE(net.HasEdge(0, 3));
 }
 
-TEST(InformationNetworkTest, ShortestPath) {
-  const auto net = Diamond();
-  EXPECT_EQ(net.ShortestPathLength(0, 0), 0);
-  EXPECT_EQ(net.ShortestPathLength(0, 1), 1);
-  EXPECT_EQ(net.ShortestPathLength(0, 3), 2);
-  EXPECT_EQ(net.ShortestPathLength(3, 0), kUnreachable);
-}
-
-TEST(InformationNetworkTest, ShortestPathRespectsCutoff) {
-  const auto net = Diamond();
-  EXPECT_EQ(net.ShortestPathLength(0, 3, /*cutoff=*/1), kUnreachable);
-  EXPECT_EQ(net.ShortestPathLength(0, 3, /*cutoff=*/2), 2);
-}
-
 TEST(InformationNetworkTest, BfsDistances) {
   const auto net = Diamond();
   const auto dist = net.BfsDistances(0, 5);
@@ -88,16 +74,6 @@ TEST(InformationNetworkTest, BfsOnChainRespectsDepth) {
   const auto dist = net.BfsDistances(0, 2);
   EXPECT_EQ(dist[2], 2);
   EXPECT_EQ(dist[3], kUnreachable);
-}
-
-TEST(CountSusceptibleTest, ExcludesParticipants) {
-  const auto net = Diamond();
-  // Participants {0}: followers 1 and 2 are susceptible.
-  EXPECT_EQ(CountSusceptible(net, {0}), 2u);
-  // Participants {0, 1}: 2 susceptible (follower of 0) plus 3 (of 1).
-  EXPECT_EQ(CountSusceptible(net, {0, 1}), 2u);
-  // Everyone participating: nobody left.
-  EXPECT_EQ(CountSusceptible(net, {0, 1, 2, 3}), 0u);
 }
 
 // -------------------------------------------------------------- Generator --

@@ -135,15 +135,6 @@ TEST(DatasetTest, SelectAndCounts) {
   EXPECT_EQ(sub.X.RowVec(2), d.X.RowVec(10));
 }
 
-TEST(DatasetTest, TrainTestSplitSizesAndDisjoint) {
-  const Dataset d = ImbalancedSet(100, 0.3, 5);
-  Rng rng(7);
-  Dataset train, test;
-  TrainTestSplit(d, 0.2, &rng, &train, &test);
-  EXPECT_EQ(train.NumRows(), 80u);
-  EXPECT_EQ(test.NumRows(), 20u);
-}
-
 TEST(DatasetTest, DownsampleBalances) {
   const Dataset d = ImbalancedSet(1000, 0.1, 9);
   Rng rng(11);
@@ -163,14 +154,6 @@ TEST(DatasetTest, UpDownsampleGeometricMean) {
   const double target = std::sqrt(static_cast<double>(d.NumPositives()) *
                                   static_cast<double>(1000 - d.NumPositives()));
   EXPECT_NEAR(static_cast<double>(pos), target, 2.0);
-}
-
-TEST(DatasetTest, UpsampleCapsAtMajority) {
-  const Dataset d = ImbalancedSet(500, 0.1, 19);
-  Rng rng(23);
-  const Dataset s = UpsampleMinority(d, 100.0, &rng);
-  const size_t pos = s.NumPositives();
-  EXPECT_LE(pos, s.NumRows() - pos);
 }
 
 TEST(StandardScalerTest, ZeroMeanUnitVariance) {

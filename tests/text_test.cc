@@ -44,11 +44,6 @@ TEST(TokenizerTest, Bigrams) {
   EXPECT_TRUE(Bigrams({"solo"}).empty());
 }
 
-TEST(TokenizerTest, UnigramsAndBigramsConcatenated) {
-  const auto toks = UnigramsAndBigrams("one two");
-  EXPECT_EQ(toks, (std::vector<std::string>{"one", "two", "one_two"}));
-}
-
 // ------------------------------------------------------------ Vocabulary --
 
 TEST(VocabularyTest, AddAndLookup) {
@@ -166,19 +161,6 @@ TEST(TfIdfTest, TransformAverageEqualsMeanOfTransforms) {
   const Vec b = v.Transform(docs[1]);
   for (size_t i = 0; i < avg.size(); ++i) {
     EXPECT_NEAR(avg[i], 0.5 * (a[i] + b[i]), 1e-12);
-  }
-}
-
-TEST(TfIdfTest, TransformBatchRowsMatchTransform) {
-  TfIdfOptions opts;
-  opts.min_df = 1;
-  TfIdfVectorizer v(opts);
-  const auto docs = SmallCorpus();
-  ASSERT_TRUE(v.Fit(docs).ok());
-  const Matrix batch = v.TransformBatch(docs);
-  ASSERT_EQ(batch.rows(), docs.size());
-  for (size_t i = 0; i < docs.size(); ++i) {
-    EXPECT_EQ(batch.RowVec(i), v.Transform(docs[i]));
   }
 }
 
