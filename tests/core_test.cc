@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -21,6 +22,7 @@
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 #include "nn/layers.h"
+#include "nn/recurrent.h"
 
 namespace retina::core {
 namespace {
@@ -697,15 +699,30 @@ TEST(RetinaTest, StaticStepGradientMatchesFiniteDifference) {
              "attention/Wk", "attention/Wv"});
 }
 
+// Every recurrent cell of the dynamic head, with all of its tensors.
 TEST(RetinaTest, DynamicStepGradientMatchesFiniteDifference) {
-  RetinaOptions opts;
-  opts.hidden = 8;
-  opts.dynamic = true;
-  opts.lambda = 2.5;
-  ExpectStepGradientMatchesFiniteDifference(
-      opts, {"ff1/W", "ff1/b", "head/W", "head/b", "attention/Wk", "rnn/Wz",
-             "rnn/Uz", "rnn/bz", "rnn/Wr", "rnn/Ur", "rnn/br", "rnn/Wh",
-             "rnn/Uh", "rnn/bh"});
+  const std::vector<std::pair<nn::RecurrentKind, std::vector<std::string>>>
+      cells = {
+          {nn::RecurrentKind::kGru,
+           {"rnn/Wz", "rnn/Uz", "rnn/bz", "rnn/Wr", "rnn/Ur", "rnn/br",
+            "rnn/Wh", "rnn/Uh", "rnn/bh"}},
+          {nn::RecurrentKind::kLstm,
+           {"rnn/Wi", "rnn/Ui", "rnn/bi", "rnn/Wf", "rnn/Uf", "rnn/bf",
+            "rnn/Wo", "rnn/Uo", "rnn/bo", "rnn/Wc", "rnn/Uc", "rnn/bc"}},
+          {nn::RecurrentKind::kSimpleRnn, {"rnn/W", "rnn/U", "rnn/b"}},
+      };
+  for (const auto& [kind, rnn_tensors] : cells) {
+    SCOPED_TRACE(nn::RecurrentKindName(kind));
+    RetinaOptions opts;
+    opts.hidden = 8;
+    opts.dynamic = true;
+    opts.lambda = 2.5;
+    opts.recurrent = kind;
+    std::vector<std::string> tensors = {"ff1/W", "ff1/b", "head/W", "head/b",
+                                        "attention/Wk"};
+    tensors.insert(tensors.end(), rnn_tensors.begin(), rnn_tensors.end());
+    ExpectStepGradientMatchesFiniteDifference(opts, tensors);
+  }
 }
 
 TEST(RetinaTest, EmptyTrainFails) {

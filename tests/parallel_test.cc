@@ -36,6 +36,7 @@
 #include "diffusion/threshold.h"
 #include "io/checkpoint.h"
 #include "ml/random_forest.h"
+#include "nn/recurrent.h"
 
 namespace retina {
 namespace {
@@ -272,13 +273,15 @@ struct Trained {
 };
 
 Trained TrainAndScore(const core::RetweetTask& task, bool dynamic,
-                      bool use_exogenous, size_t threads) {
+                      nn::RecurrentKind recurrent, bool use_exogenous,
+                      size_t threads) {
   par::SetNumThreads(threads);
   core::RetinaOptions opts;
   opts.hidden = 32;
   opts.epochs = 3;
   opts.dynamic = dynamic;
   opts.use_exogenous = use_exogenous;
+  opts.recurrent = recurrent;
   opts.seed = 5;
   core::Retina model(task.user_dim, task.content_dim, task.embed_dim,
                      task.NumIntervals(), opts);
@@ -292,13 +295,16 @@ Trained TrainAndScore(const core::RetweetTask& task, bool dynamic,
 // Trains at 1, 2, 4 and 8 threads, with attention on and off, and expects
 // the same losses, test scores and checkpoint bytes every time.
 void ExpectTrainingBitIdenticalAcrossThreadCounts(
-    const core::RetweetTask& task, bool dynamic) {
+    const core::RetweetTask& task, bool dynamic,
+    nn::RecurrentKind recurrent = nn::RecurrentKind::kGru) {
   for (const bool use_exogenous : {true, false}) {
-    const Trained ref = TrainAndScore(task, dynamic, use_exogenous, 1);
+    const Trained ref =
+        TrainAndScore(task, dynamic, recurrent, use_exogenous, 1);
     for (const size_t threads : {2u, 4u, 8u}) {
       SCOPED_TRACE(testing::Message() << "use_exogenous=" << use_exogenous
                                       << " threads=" << threads);
-      const Trained got = TrainAndScore(task, dynamic, use_exogenous, threads);
+      const Trained got =
+          TrainAndScore(task, dynamic, recurrent, use_exogenous, threads);
       ASSERT_EQ(ref.losses.size(), got.losses.size());
       for (size_t e = 0; e < ref.losses.size(); ++e) {
         EXPECT_EQ(ref.losses[e], got.losses[e]) << "epoch " << e;
@@ -321,8 +327,14 @@ TEST(DeterminismTest, RetinaStaticTrainingBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, RetinaDynamicTrainingBitIdenticalAcrossThreadCounts) {
-  ExpectTrainingBitIdenticalAcrossThreadCounts(
-      MakeToyTask({16, 5, 11, 16, 16}, 13), /*dynamic=*/true);
+  const core::RetweetTask task = MakeToyTask({16, 5, 11, 16, 16}, 13);
+  for (const nn::RecurrentKind kind :
+       {nn::RecurrentKind::kGru, nn::RecurrentKind::kLstm,
+        nn::RecurrentKind::kSimpleRnn}) {
+    SCOPED_TRACE(nn::RecurrentKindName(kind));
+    ExpectTrainingBitIdenticalAcrossThreadCounts(task, /*dynamic=*/true,
+                                                 kind);
+  }
 }
 
 TEST(DeterminismTest, RandomForestBitIdenticalAcrossThreadCounts) {

@@ -32,6 +32,7 @@
 #include "hatedetect/annotation.h"
 #include "nn/layers.h"
 #include "nn/param_registry.h"
+#include "nn/recurrent.h"
 #include "store/feature_store.h"
 #include "text/tfidf.h"
 
@@ -376,19 +377,25 @@ Fixture& SharedFixture() {
   return *fixture;
 }
 
-std::unique_ptr<Retina> TrainModel(const RetweetTask& task, bool dynamic,
-                                   bool use_exogenous = true) {
+std::unique_ptr<Retina> TrainModel(
+    const RetweetTask& task, bool dynamic, bool use_exogenous = true,
+    nn::RecurrentKind recurrent = nn::RecurrentKind::kGru) {
   RetinaOptions opts;
   opts.hidden = 12;
   opts.epochs = 2;
   opts.dynamic = dynamic;
   opts.use_exogenous = use_exogenous;
+  opts.recurrent = recurrent;
   auto model = std::make_unique<Retina>(task.user_dim, task.content_dim,
                                         task.embed_dim, task.NumIntervals(),
                                         opts);
   EXPECT_TRUE(model->Train(task).ok());
   return model;
 }
+
+constexpr nn::RecurrentKind kRecurrentKinds[] = {
+    nn::RecurrentKind::kGru, nn::RecurrentKind::kLstm,
+    nn::RecurrentKind::kSimpleRnn};
 
 // Per-candidate reference: the pre-batching ScoreCandidates loop.
 Vec SerialScores(const Retina& model, const RetweetTask& task,
@@ -418,46 +425,51 @@ TEST(BatchedRetinaTest, StaticScoreCandidatesBitIdenticalToSerial) {
   }
 }
 
+// Every recurrent cell, attention on and off.
 TEST(BatchedRetinaTest, DynamicBatchBitIdenticalToSerial) {
   auto& f = SharedFixture();
   const size_t J = f.task.NumIntervals();
-  for (const bool use_exogenous : {true, false}) {
-    const auto model = TrainModel(f.task, /*dynamic=*/true, use_exogenous);
-    const Vec batched = model->ScoreCandidates(f.task, f.task.test);
-    const Vec serial = SerialScores(*model, f.task, f.task.test);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(batched[i], serial[i])
-          << "use_exogenous=" << use_exogenous << " candidate " << i;
-    }
-    // Per-interval rows too, through the public batched API.
-    ScratchArena arena;
-    for (size_t i = 0; i < f.task.test.size();) {
-      size_t j = i + 1;
-      while (j < f.task.test.size() &&
-             f.task.test[j].tweet_pos == f.task.test[i].tweet_pos) {
-        ++j;
+  for (const nn::RecurrentKind kind : kRecurrentKinds) {
+    for (const bool use_exogenous : {true, false}) {
+      SCOPED_TRACE(nn::RecurrentKindName(kind));
+      const auto model =
+          TrainModel(f.task, /*dynamic=*/true, use_exogenous, kind);
+      const Vec batched = model->ScoreCandidates(f.task, f.task.test);
+      const Vec serial = SerialScores(*model, f.task, f.task.test);
+      ASSERT_EQ(batched.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(batched[i], serial[i])
+            << "use_exogenous=" << use_exogenous << " candidate " << i;
       }
-      std::vector<const double*> rows;
-      for (size_t s = i; s < j; ++s) {
-        rows.push_back(f.task.test[s].user_features.data());
-      }
-      const TweetContext& ctx = f.task.tweets[f.task.test[i].tweet_pos];
-      arena.Reset();
-      Vec probs((j - i) * J);
-      model->PredictDynamicRows(ctx, rows.data(), j - i, probs.data(),
-                                &arena);
-      for (size_t s = i; s < j; ++s) {
-        const Vec one =
-            model->PredictDynamic(ctx, f.task.test[s].user_features);
-        ASSERT_EQ(one.size(), J);
-        for (size_t m = 0; m < J; ++m) {
-          EXPECT_EQ(probs[(s - i) * J + m], one[m])
-              << "use_exogenous=" << use_exogenous << " candidate " << s
-              << " interval " << m;
+      // Per-interval rows too, through the public batched API.
+      ScratchArena arena;
+      for (size_t i = 0; i < f.task.test.size();) {
+        size_t j = i + 1;
+        while (j < f.task.test.size() &&
+               f.task.test[j].tweet_pos == f.task.test[i].tweet_pos) {
+          ++j;
         }
+        std::vector<const double*> rows;
+        for (size_t s = i; s < j; ++s) {
+          rows.push_back(f.task.test[s].user_features.data());
+        }
+        const TweetContext& ctx = f.task.tweets[f.task.test[i].tweet_pos];
+        arena.Reset();
+        Vec probs((j - i) * J);
+        model->PredictDynamicRows(ctx, rows.data(), j - i, probs.data(),
+                                  &arena);
+        for (size_t s = i; s < j; ++s) {
+          const Vec one =
+              model->PredictDynamic(ctx, f.task.test[s].user_features);
+          ASSERT_EQ(one.size(), J);
+          for (size_t m = 0; m < J; ++m) {
+            EXPECT_EQ(probs[(s - i) * J + m], one[m])
+                << "use_exogenous=" << use_exogenous << " candidate " << s
+                << " interval " << m;
+          }
+        }
+        i = j;
       }
-      i = j;
     }
   }
 }
@@ -549,9 +561,11 @@ TEST(ScoringEngineTest, CacheStatsTrackHitsAndRepeatRequestsHit) {
 // Bundles saved while RetinaOptions still had a macro-batch knob carry a
 // retina/options/batch_groups entry; such a checkpoint must load and
 // score the same.
-void CheckRetinaRoundTrip(bool dynamic) {
+void CheckRetinaRoundTrip(
+    bool dynamic, nn::RecurrentKind recurrent = nn::RecurrentKind::kGru) {
   auto& f = SharedFixture();
-  const auto model = TrainModel(f.task, dynamic);
+  const auto model = TrainModel(f.task, dynamic, /*use_exogenous=*/true,
+                                recurrent);
   const Vec reference = model->ScoreCandidates(f.task, f.task.test);
   for (const bool legacy_batch_groups : {false, true}) {
     io::Checkpoint ckpt;
@@ -581,7 +595,10 @@ TEST(RetinaCheckpointTest, StaticSaveLoadScoresBitIdentically) {
 }
 
 TEST(RetinaCheckpointTest, DynamicSaveLoadScoresBitIdentically) {
-  CheckRetinaRoundTrip(/*dynamic=*/true);
+  for (const nn::RecurrentKind kind : kRecurrentKinds) {
+    SCOPED_TRACE(nn::RecurrentKindName(kind));
+    CheckRetinaRoundTrip(/*dynamic=*/true, kind);
+  }
 }
 
 TEST(FeatureExtractorRestoreTest, RejectsDoc2VecDimMismatch) {
