@@ -142,6 +142,83 @@ TEST(CheckpointTest, SerializationIsDeterministicAcrossInsertionOrder) {
   EXPECT_EQ(a.SerializeToBytes(), b.SerializeToBytes());
 }
 
+// The RETINAc1 layout, pinned byte for byte: one entry of each EntryType
+// serializes to exactly these bytes, and these bytes read back to the same
+// table. Every saved bundle and store index depends on them.
+constexpr char kGoldenCheckpointHex[] =
+    "524554494e416331010000000100000006000000000000000100000066059a99"
+    "99999999b93f010000006906fdffffffffffffff010000006c02020000000000"
+    "0000ffffffffffffffff02010000000000000100000073030200000000000000"
+    "616202000000736c040200000000000000010000000000000078000000000000"
+    "000001000000740102000000000000000200000000000000000000000000f03f"
+    "000000000000e0bf000000000000d03f0000000000000840822a08db678259f7";
+
+std::string ToHex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xF]);
+  }
+  return hex;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+io::Checkpoint MakeGoldenCheckpoint() {
+  io::Checkpoint ckpt;
+  Matrix t(2, 2);
+  t.data() = {1.0, -0.5, 0.25, 3.0};
+  ckpt.PutTensor("t", t);
+  ckpt.PutI64List("l", {-1, 258});
+  ckpt.PutString("s", "ab");
+  ckpt.PutStringList("sl", {"x", ""});
+  ckpt.PutF64("f", 0.1);
+  ckpt.PutI64("i", -3);
+  return ckpt;
+}
+
+TEST(CheckpointTest, GoldenBytesPinEveryEntryType) {
+  EXPECT_EQ(ToHex(MakeGoldenCheckpoint().SerializeToBytes()),
+            kGoldenCheckpointHex);
+
+  auto loaded =
+      io::Checkpoint::DeserializeFromBytes(FromHex(kGoldenCheckpointHex));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const io::Checkpoint& ckpt = loaded.ValueOrDie();
+  EXPECT_EQ(ckpt.Names(),
+            (std::vector<std::string>{"f", "i", "l", "s", "sl", "t"}));
+  Matrix t;
+  ASSERT_TRUE(ckpt.GetTensor("t", &t).ok());
+  EXPECT_EQ(t.rows(), 2u);
+  EXPECT_EQ(t.cols(), 2u);
+  EXPECT_EQ(Vec(t.data().begin(), t.data().end()),
+            (Vec{1.0, -0.5, 0.25, 3.0}));
+  std::vector<int64_t> l;
+  ASSERT_TRUE(ckpt.GetI64List("l", &l).ok());
+  EXPECT_EQ(l, (std::vector<int64_t>{-1, 258}));
+  std::string s;
+  ASSERT_TRUE(ckpt.GetString("s", &s).ok());
+  EXPECT_EQ(s, "ab");
+  std::vector<std::string> sl;
+  ASSERT_TRUE(ckpt.GetStringList("sl", &sl).ok());
+  EXPECT_EQ(sl, (std::vector<std::string>{"x", ""}));
+  double f = 0.0;
+  ASSERT_TRUE(ckpt.GetF64("f", &f).ok());
+  EXPECT_EQ(f, 0.1);
+  int64_t i = 0;
+  ASSERT_TRUE(ckpt.GetI64("i", &i).ok());
+  EXPECT_EQ(i, -3);
+  EXPECT_EQ(ToHex(ckpt.SerializeToBytes()), kGoldenCheckpointHex);
+}
+
 TEST(CheckpointTest, NamesAreLexicographic) {
   io::Checkpoint ckpt;
   ckpt.PutF64("b", 1.0);

@@ -330,6 +330,90 @@ TEST(ProtocolTest, FrameRoundTripsOverSocketpair) {
   close(fds[1]);
 }
 
+// The v2 wire bytes, pinned: every encoder and one WriteFrame produce
+// exactly these bytes, so a codec change cannot move a byte on the wire.
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xF]);
+  }
+  return hex;
+}
+
+TEST(ProtocolTest, GoldenBytesPinEveryEncoder) {
+  ScoreRequest req;
+  req.request_id = 0x0102030405060708ull;
+  req.tweet_id = 9;
+  req.users = {1, 0xFFFFFFFEu};
+  req.trace_id = 0xA;
+  req.span_id = 0xB;
+  EXPECT_EQ(ToHex(EncodeScoreRequest(req)),
+            "5245545002000100080706050403020109000000000000000200000001000000"
+            "feffffff0a000000000000000b00000000000000");
+
+  ScoreResponse ok;
+  ok.request_id = 3;
+  ok.scores = {0.5, -0.0};
+  EXPECT_EQ(ToHex(EncodeScoreResponse(ok)),
+            "524554500200020003000000000000000002000000000000000000e03f000000"
+            "0000000080");
+  ScoreResponse shed;
+  shed.request_id = 4;
+  shed.code = ResponseCode::kShed;
+  shed.message = "busy";
+  EXPECT_EQ(ToHex(EncodeScoreResponse(shed)),
+            "52455450020002000400000000000000010400000062757379");
+  ScoreResponse error;
+  error.request_id = 5;
+  error.code = ResponseCode::kError;
+  error.message = "bad";
+  EXPECT_EQ(ToHex(EncodeScoreResponse(error)),
+            "524554500200020005000000000000000203000000626164");
+
+  MetricsRequest mreq;
+  mreq.request_id = 6;
+  EXPECT_EQ(ToHex(EncodeMetricsRequest(mreq)),
+            "52455450020005000600000000000000");
+  MetricsResponse mresp;
+  mresp.request_id = 7;
+  mresp.snapshot.counters = {{"c", 2}};
+  mresp.snapshot.gauges = {{"g", -2}};
+  obs::HistogramSnapshot h;
+  h.count = 1;
+  h.sum = 2;
+  h.p50 = 3;
+  h.p95 = 4;
+  h.p99 = 5;
+  mresp.snapshot.histograms = {{"h", h}};
+  obs::WindowSnapshot w;
+  w.ticks = 6;
+  w.slots = 7;
+  w.window = h;
+  mresp.snapshot.windows = {{"w", w}};
+  EXPECT_EQ(ToHex(EncodeMetricsResponse(mresp)),
+            "5245545002000600070000000000000001000000010000006302000000000000"
+            "00010000000100000067feffffffffffffff0100000001000000680100000000"
+            "0000000200000000000000030000000000000004000000000000000500000000"
+            "0000000100000001000000770600000000000000070000000000000001000000"
+            "0000000002000000000000000300000000000000040000000000000005000000"
+            "00000000");
+
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(WriteFrame(fds[0], EncodeMetricsRequest(mreq)).ok());
+  close(fds[0]);
+  std::string wire;
+  char buf[64];
+  ssize_t got;
+  while ((got = recv(fds[1], buf, sizeof(buf), 0)) > 0) {
+    wire.append(buf, static_cast<size_t>(got));
+  }
+  close(fds[1]);
+  EXPECT_EQ(ToHex(wire), "1000000052455450020005000600000000000000");
+}
+
 TEST(ProtocolTest, TruncatedFrameAndBadLengthPrefixAreErrors) {
   {
     // EOF in the middle of a frame body is an error, not a clean EOF.

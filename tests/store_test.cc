@@ -272,6 +272,37 @@ TEST_F(FeatureStoreTest, EmptyStoreOpensAndAnswersAbsent) {
   EXPECT_EQ(outcome, LookupOutcome::kAbsentRange);
 }
 
+// The RETINAs1 layout and its index, pinned: a store built from fixed
+// SparseVecs writes files of exactly this size and FNV-1a 64 (published
+// offset basis). Every store written so far depends on them.
+uint64_t FileFnv(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST_F(FeatureStoreTest, GoldenFilesPinBlocksAndIndex) {
+  FeatureStoreOptions opts;
+  opts.block_entries = 2;
+  auto builder = FeatureStoreBuilder::Create(dir_, 6, opts);
+  ASSERT_TRUE(builder.ok()) << builder.status().ToString();
+  for (uint64_t u = 0; u < 5; ++u) {
+    SparseVec v(6);
+    for (uint32_t i = 0; i <= u % 3; ++i) v.PushBack(2 * i, 0.5 * u - i);
+    ASSERT_TRUE(builder.ValueOrDie()->Add(7 * u + 1, v).ok());
+  }
+  ASSERT_TRUE(builder.ValueOrDie()->Finish().ok());
+  const std::string data = ReadAll(DataPath());
+  const std::string index = ReadAll(IndexPath());
+  EXPECT_EQ(data.size(), 248u);
+  EXPECT_EQ(FileFnv(data), 0xece57981752e60bbull);
+  EXPECT_EQ(index.size(), 604u);
+  EXPECT_EQ(FileFnv(index), 0xc3d4367f53133ab0ull);
+}
+
 // ------------------------------------------------------------ corruption --
 
 TEST_F(FeatureStoreTest, OpenFailsOnTruncatedDataFile) {
