@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/bytes.h"
 #include "common/obs.h"
 #include "common/simd.h"
 #include "common/trace.h"
@@ -44,14 +45,7 @@ Status ExportPrometheus(const std::string& path) {
   // Write-then-rename keeps the published file whole at every instant: a
   // scraper opening `path` sees either the previous exposition or the new
   // one, never a prefix.
-  const std::string tmp = path + ".tmp";
-  RETINA_RETURN_NOT_OK(
-      WriteWholeFile(tmp, Registry::Global().ToPrometheus()));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
+  return AtomicFile::Write(path, Registry::Global().ToPrometheus());
 }
 
 Status ExportChromeTrace(const std::string& path, bool print_summary) {

@@ -1,138 +1,26 @@
 #include "io/checkpoint.h"
 
-#include <bit>
-#include <cstdio>
 #include <cstring>
+
+#include "common/bytes.h"
 
 namespace retina::io {
 namespace {
 
-// FNV-1a 64-bit over a byte range.
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
+Status Truncated() {
+  return Status::IOError("corrupt checkpoint: truncated entry data");
 }
 
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  AppendU64(out, static_cast<uint64_t>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-void AppendBytes(std::string* out, const std::string& s) {
-  AppendU64(out, s.size());
+void PutBytes(std::string* out, const std::string& s) {
+  PutU64(out, s.size());
   out->append(s);
 }
 
-/// Bounds-checked little-endian reader over a byte string.
-class Reader {
- public:
-  Reader(const std::string& bytes, size_t pos, size_t end)
-      : bytes_(bytes), pos_(pos), end_(end) {}
-
-  size_t pos() const { return pos_; }
-
-  Status ReadU8(uint8_t* out) {
-    if (pos_ + 1 > end_) return Truncated();
-    *out = static_cast<uint8_t>(bytes_[pos_++]);
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* out) {
-    if (pos_ + 4 > end_) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out) {
-    if (pos_ + 8 > end_) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status ReadI64(int64_t* out) {
-    uint64_t v;
-    RETINA_RETURN_NOT_OK(ReadU64(&v));
-    *out = static_cast<int64_t>(v);
-    return Status::OK();
-  }
-
-  Status ReadF64(double* out) {
-    uint64_t bits;
-    RETINA_RETURN_NOT_OK(ReadU64(&bits));
-    std::memcpy(out, &bits, sizeof(bits));
-    return Status::OK();
-  }
-
-  Status Skip(size_t n) {
-    if (n > end_ - pos_) return Truncated();
-    pos_ += n;
-    return Status::OK();
-  }
-
-  /// Reads a u64 length prefix followed by that many raw bytes.
-  Status ReadBytes(std::string* out) {
-    uint64_t n = 0;
-    RETINA_RETURN_NOT_OK(ReadU64(&n));
-    if (n > end_ - pos_) return Truncated();
-    out->assign(bytes_, pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  /// Guards multiplication-based allocations against hostile sizes.
-  Status CheckRoom(uint64_t count, uint64_t elem_size) {
-    const uint64_t room = end_ - pos_;
-    if (elem_size != 0 && count > room / elem_size) return Truncated();
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated() {
-    return Status::IOError("corrupt checkpoint: truncated entry data");
-  }
-
-  const std::string& bytes_;
-  size_t pos_;
-  size_t end_;
-};
+/// Reads a u64 length prefix followed by that many raw bytes.
+bool ReadBytes(ByteReader* in, std::string* out) {
+  uint64_t n = 0;
+  return in->ReadU64(&n) && in->ReadBytes(n, out);
+}
 
 }  // namespace
 
@@ -289,42 +177,44 @@ std::vector<std::string> Checkpoint::Names() const {
 }
 
 std::string Checkpoint::SerializeToBytes() const {
+  // retina::PutF64/PutI64 are the byte appenders; the unqualified names
+  // are this class's entry setters.
   std::string out;
   out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  AppendU32(&out, kCheckpointVersion);
-  AppendU8(&out, std::endian::native == std::endian::little ? 1 : 2);
+  PutU32(&out, kCheckpointVersion);
+  PutU8(&out, HostEndianTag());
   out.append(3, '\0');  // reserved
-  AppendU64(&out, entries_.size());
+  PutU64(&out, entries_.size());
   for (const auto& [name, e] : entries_) {
-    AppendU32(&out, static_cast<uint32_t>(name.size()));
+    PutU32(&out, static_cast<uint32_t>(name.size()));
     out.append(name);
-    AppendU8(&out, static_cast<uint8_t>(e.type));
+    PutU8(&out, static_cast<uint8_t>(e.type));
     switch (e.type) {
       case EntryType::kTensor:
-        AppendU64(&out, e.tensor.rows());
-        AppendU64(&out, e.tensor.cols());
-        for (double v : e.tensor.data()) AppendF64(&out, v);
+        PutU64(&out, e.tensor.rows());
+        PutU64(&out, e.tensor.cols());
+        for (double v : e.tensor.data()) retina::PutF64(&out, v);
         break;
       case EntryType::kI64List:
-        AppendU64(&out, e.i64s.size());
-        for (int64_t v : e.i64s) AppendI64(&out, v);
+        PutU64(&out, e.i64s.size());
+        for (int64_t v : e.i64s) retina::PutI64(&out, v);
         break;
       case EntryType::kString:
-        AppendBytes(&out, e.str);
+        PutBytes(&out, e.str);
         break;
       case EntryType::kStringList:
-        AppendU64(&out, e.strs.size());
-        for (const std::string& s : e.strs) AppendBytes(&out, s);
+        PutU64(&out, e.strs.size());
+        for (const std::string& s : e.strs) PutBytes(&out, s);
         break;
       case EntryType::kF64:
-        AppendF64(&out, e.f64);
+        retina::PutF64(&out, e.f64);
         break;
       case EntryType::kI64:
-        AppendI64(&out, e.i64);
+        retina::PutI64(&out, e.i64);
         break;
     }
   }
-  AppendU64(&out, Fnv1a(out.data(), out.size()));
+  PutU64(&out, Fnv1a64(out.data(), out.size(), kChecksumBasis));
   return out;
 }
 
@@ -340,95 +230,82 @@ Result<Checkpoint> Checkpoint::DeserializeFromBytes(
     return Status::IOError("corrupt checkpoint: bad magic");
   }
 
-  const size_t body_end = bytes.size() - kChecksumSize;
-  Reader reader(bytes, sizeof(kCheckpointMagic), bytes.size());
-  uint32_t version = 0;
-  RETINA_RETURN_NOT_OK(reader.ReadU32(&version));
+  const uint32_t version = LoadLe32(bytes.data() + 8);
   if (version != kCheckpointVersion) {
     return Status::IOError("unsupported checkpoint version " +
                            std::to_string(version) + " (expected " +
                            std::to_string(kCheckpointVersion) + ")");
   }
-  uint8_t endian_tag = 0;
-  RETINA_RETURN_NOT_OK(reader.ReadU8(&endian_tag));
-  const uint8_t host_tag =
-      std::endian::native == std::endian::little ? 1 : 2;
-  if (endian_tag != host_tag) {
+  const uint8_t endian_tag = static_cast<uint8_t>(bytes[12]);
+  if (endian_tag != HostEndianTag()) {
     return Status::IOError(
         "checkpoint endianness mismatch: file tag " +
         std::to_string(endian_tag) + ", host tag " +
-        std::to_string(host_tag));
+        std::to_string(HostEndianTag()));
   }
 
-  {
-    Reader tail(bytes, body_end, bytes.size());
-    uint64_t stored = 0;
-    RETINA_RETURN_NOT_OK(tail.ReadU64(&stored));
-    const uint64_t actual = Fnv1a(bytes.data(), body_end);
-    if (stored != actual) {
-      return Status::IOError("corrupt checkpoint: checksum mismatch");
-    }
+  const size_t body_end = bytes.size() - kChecksumSize;
+  if (LoadLe64(bytes.data() + body_end) !=
+      Fnv1a64(bytes.data(), body_end, kChecksumBasis)) {
+    return Status::IOError("corrupt checkpoint: checksum mismatch");
   }
 
-  Reader body(bytes, kHeaderSize - 8, body_end);
+  ByteReader body(std::string_view(bytes).substr(
+      kHeaderSize - 8, body_end - (kHeaderSize - 8)));
   uint64_t count = 0;
-  RETINA_RETURN_NOT_OK(body.ReadU64(&count));
+  if (!body.ReadU64(&count)) return Truncated();
   Checkpoint ckpt;
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t name_len = 0;
-    RETINA_RETURN_NOT_OK(body.ReadU32(&name_len));
-    if (name_len > body_end - body.pos()) {
+    if (!body.ReadU32(&name_len)) return Truncated();
+    std::string name;
+    if (!body.ReadBytes(name_len, &name)) {
       return Status::IOError("corrupt checkpoint: truncated entry name");
     }
-    const std::string name = bytes.substr(body.pos(), name_len);
-    RETINA_RETURN_NOT_OK(body.Skip(name_len));
     uint8_t raw_type = 0;
-    RETINA_RETURN_NOT_OK(body.ReadU8(&raw_type));
+    if (!body.ReadU8(&raw_type)) return Truncated();
     Entry e;
     e.type = static_cast<EntryType>(raw_type);
     switch (e.type) {
       case EntryType::kTensor: {
         uint64_t rows = 0, cols = 0;
-        RETINA_RETURN_NOT_OK(body.ReadU64(&rows));
-        RETINA_RETURN_NOT_OK(body.ReadU64(&cols));
+        if (!body.ReadU64(&rows) || !body.ReadU64(&cols)) return Truncated();
         if (rows != 0 && cols > UINT64_MAX / rows) {
           return Status::IOError("corrupt checkpoint: tensor too large");
         }
-        RETINA_RETURN_NOT_OK(body.CheckRoom(rows * cols, 8));
+        if (!body.Fits(rows * cols, 8)) return Truncated();
         e.tensor = Matrix(rows, cols);
         for (double& v : e.tensor.data()) {
-          RETINA_RETURN_NOT_OK(body.ReadF64(&v));
+          if (!body.ReadF64(&v)) return Truncated();
         }
         break;
       }
       case EntryType::kI64List: {
         uint64_t n = 0;
-        RETINA_RETURN_NOT_OK(body.ReadU64(&n));
-        RETINA_RETURN_NOT_OK(body.CheckRoom(n, 8));
+        if (!body.ReadU64(&n) || !body.Fits(n, 8)) return Truncated();
         e.i64s.resize(n);
         for (int64_t& v : e.i64s) {
-          RETINA_RETURN_NOT_OK(body.ReadI64(&v));
+          if (!body.ReadI64(&v)) return Truncated();
         }
         break;
       }
       case EntryType::kString:
-        RETINA_RETURN_NOT_OK(body.ReadBytes(&e.str));
+        if (!ReadBytes(&body, &e.str)) return Truncated();
         break;
       case EntryType::kStringList: {
         uint64_t n = 0;
-        RETINA_RETURN_NOT_OK(body.ReadU64(&n));
-        RETINA_RETURN_NOT_OK(body.CheckRoom(n, 8));
+        if (!body.ReadU64(&n) || !body.Fits(n, 8)) return Truncated();
         e.strs.resize(n);
         for (std::string& s : e.strs) {
-          RETINA_RETURN_NOT_OK(body.ReadBytes(&s));
+          if (!ReadBytes(&body, &s)) return Truncated();
         }
         break;
       }
       case EntryType::kF64:
-        RETINA_RETURN_NOT_OK(body.ReadF64(&e.f64));
+        if (!body.ReadF64(&e.f64)) return Truncated();
         break;
       case EntryType::kI64:
-        RETINA_RETURN_NOT_OK(body.ReadI64(&e.i64));
+        if (!body.ReadI64(&e.i64)) return Truncated();
         break;
       default:
         return Status::IOError(
@@ -437,47 +314,21 @@ Result<Checkpoint> Checkpoint::DeserializeFromBytes(
     }
     ckpt.entries_[name] = std::move(e);
   }
-  if (body.pos() != body_end) {
+  if (!body.AtEnd()) {
     return Status::IOError("corrupt checkpoint: trailing bytes after table");
   }
   return ckpt;
 }
 
 Status Checkpoint::WriteFile(const std::string& path) const {
-  const std::string bytes = SerializeToBytes();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open for writing: " + tmp);
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != bytes.size() || !close_ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
+  return AtomicFile::Write(path, SerializeToBytes());
 }
 
 Result<Checkpoint> Checkpoint::ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open checkpoint: " + path);
-  }
   std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IOError("read error on checkpoint: " + path);
+  const Status read = ReadFileToString(path, &bytes);
+  if (!read.ok()) {
+    return Status::IOError("cannot read checkpoint: " + read.message());
   }
   auto result = DeserializeFromBytes(bytes);
   if (!result.ok()) {

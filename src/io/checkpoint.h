@@ -13,13 +13,17 @@
 //                   u32  name length, then name bytes (UTF-8, no NUL)
 //                   u8   type tag (EntryType)
 //                   ...  typed payload (see checkpoint.cc)
-//   end-8   8     FNV-1a 64 checksum of every preceding byte
+//   end-8   8     FNV-1a 64 checksum of every preceding byte, from the
+//                 offset basis kChecksumBasis (below)
 //
 // All integers are little-endian; doubles are stored as their IEEE-754
 // bit pattern in a little-endian u64, so a save→load round trip is
-// bit-exact. ReadFile returns a Status error — never crashes, never
-// yields silent garbage — on wrong magic, unsupported version,
-// endianness mismatch, truncation, or checksum failure.
+// bit-exact. The encoding, the bounds-checked decoding, the checksum and
+// the temp-file-then-rename write are common/bytes.h's, shared with the
+// user store and the serve protocol. ReadFile returns a Status error —
+// never crashes, never yields silent garbage — on wrong magic,
+// unsupported version, endianness mismatch, truncation, or checksum
+// failure.
 
 #ifndef RETINA_IO_CHECKPOINT_H_
 #define RETINA_IO_CHECKPOINT_H_
@@ -37,6 +41,13 @@ namespace retina::io {
 inline constexpr char kCheckpointMagic[8] = {'R', 'E', 'T', 'I',
                                              'N', 'A', 'c', '1'};
 inline constexpr uint32_t kCheckpointVersion = 1;
+/// Offset basis of the trailing FNV-1a 64 checksum, which the user store's
+/// per-block checksums share: 1469598103934665603, the published basis
+/// 14695981039346656037 without its last digit. Every file written so far
+/// is summed from it. To verify a file by hand, run FNV-1a 64 from this
+/// basis over all but its last 8 bytes and compare with those bytes read
+/// as a little-endian u64.
+inline constexpr uint64_t kChecksumBasis = 1469598103934665603ULL;
 
 /// Payload type of one named entry.
 enum class EntryType : uint8_t {

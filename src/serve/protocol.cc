@@ -3,83 +3,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
+
+#include "common/bytes.h"
 
 namespace retina::serve {
 
 namespace {
 
-// --- little-endian append/read helpers -------------------------------------
-
-void AppendU16(std::string* out, uint16_t v) {
-  for (int i = 0; i < 2; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-/// Bounds-checked forward cursor over a payload; every read fails softly
-/// so decoders can surface truncation as a Status.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU16(uint16_t* v) {
-    if (pos_ + 2 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 2; ++i) {
-      *v |= static_cast<uint16_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string* out) {
-    if (pos_ + n > data_.size() || pos_ + n < pos_) return false;
-    out->assign(data_.substr(pos_, n));
-    pos_ += n;
-    return true;
-  }
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-void AppendHeader(std::string* out, MessageType type) {
-  AppendU32(out, kProtocolMagic);
-  AppendU16(out, kProtocolVersion);
-  out->push_back(static_cast<char>(type));
-  out->push_back(0);  // reserved
+void PutHeader(std::string* out, MessageType type) {
+  PutU32(out, kProtocolMagic);
+  PutU16(out, kProtocolVersion);
+  PutU8(out, static_cast<uint8_t>(type));
+  PutU8(out, 0);  // reserved
 }
 
 Status Corrupt(const std::string& what) {
@@ -88,7 +25,7 @@ Status Corrupt(const std::string& what) {
 
 /// The one header check: magic, version, reserved byte, and a known
 /// message type.
-Result<MessageType> ReadHeader(Cursor* cur) {
+Result<MessageType> ReadHeader(ByteReader* cur) {
   uint32_t magic = 0;
   uint16_t version = 0;
   uint8_t type = 0, reserved = 0;
@@ -112,7 +49,7 @@ Result<MessageType> ReadHeader(Cursor* cur) {
 }
 
 /// Validates the fixed header and that the type matches `want`.
-Status ConsumeHeader(Cursor* cur, MessageType want) {
+Status ConsumeHeader(ByteReader* cur, MessageType want) {
   const Result<MessageType> type = ReadHeader(cur);
   RETINA_RETURN_NOT_OK(type.status());
   if (type.ValueOrDie() != want) {
@@ -122,7 +59,7 @@ Status ConsumeHeader(Cursor* cur, MessageType want) {
   return Status::OK();
 }
 
-Status ExpectEnd(const Cursor& cur) {
+Status ExpectEnd(const ByteReader& cur) {
   if (!cur.AtEnd()) {
     return Corrupt(std::to_string(cur.remaining()) + " trailing bytes");
   }
@@ -132,48 +69,52 @@ Status ExpectEnd(const Cursor& cur) {
 }  // namespace
 
 Result<MessageType> PeekMessageType(std::string_view payload) {
-  Cursor cur(payload);
+  ByteReader cur(payload);
   return ReadHeader(&cur);
 }
 
 std::string EncodeScoreRequest(const ScoreRequest& req) {
   std::string out;
   out.reserve(kPayloadHeaderBytes + 36 + 4 * req.users.size());
-  AppendHeader(&out, MessageType::kScoreRequest);
-  AppendU64(&out, req.request_id);
-  AppendU64(&out, req.tweet_id);
-  AppendU32(&out, static_cast<uint32_t>(req.users.size()));
-  for (uint32_t u : req.users) AppendU32(&out, u);
-  AppendU64(&out, req.trace_id);
-  AppendU64(&out, req.span_id);
+  PutHeader(&out, MessageType::kScoreRequest);
+  PutU64(&out, req.request_id);
+  PutU64(&out, req.tweet_id);
+  PutU32(&out, static_cast<uint32_t>(req.users.size()));
+  for (uint32_t u : req.users) PutU32(&out, u);
+  PutU64(&out, req.trace_id);
+  PutU64(&out, req.span_id);
   return out;
 }
 
 std::string EncodeScoreResponse(const ScoreResponse& resp) {
   std::string out;
-  AppendHeader(&out, MessageType::kScoreResponse);
-  AppendU64(&out, resp.request_id);
-  out.push_back(static_cast<char>(resp.code));
+  out.reserve(kPayloadHeaderBytes + 13 +
+              (resp.code == ResponseCode::kOk ? 8 * resp.scores.size()
+                                              : resp.message.size()));
+  PutHeader(&out, MessageType::kScoreResponse);
+  PutU64(&out, resp.request_id);
+  PutU8(&out, static_cast<uint8_t>(resp.code));
   if (resp.code == ResponseCode::kOk) {
-    AppendU32(&out, static_cast<uint32_t>(resp.scores.size()));
-    for (double s : resp.scores) AppendU64(&out, std::bit_cast<uint64_t>(s));
+    PutU32(&out, static_cast<uint32_t>(resp.scores.size()));
+    for (double s : resp.scores) PutF64(&out, s);
   } else {
-    AppendU32(&out, static_cast<uint32_t>(resp.message.size()));
+    PutU32(&out, static_cast<uint32_t>(resp.message.size()));
     out.append(resp.message);
   }
   return out;
 }
 
 Status DecodeScoreRequest(std::string_view payload, ScoreRequest* out) {
-  Cursor cur(payload);
+  ByteReader cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kScoreRequest));
   uint32_t n = 0;
   if (!cur.ReadU64(&out->request_id) || !cur.ReadU64(&out->tweet_id) ||
       !cur.ReadU32(&n)) {
     return Corrupt("truncated score request");
   }
-  // The user list is followed by the 16-byte trace tail.
-  if (cur.remaining() != 4u * n + 16) {
+  // The user list is followed by the 16-byte trace tail. 64-bit sum: a
+  // count near 2^30 must not wrap into agreeing with a short body.
+  if (cur.remaining() != uint64_t{4} * n + 16) {
     return Corrupt("score request user count disagrees with body size");
   }
   out->users.resize(n);
@@ -187,7 +128,7 @@ Status DecodeScoreRequest(std::string_view payload, ScoreRequest* out) {
 }
 
 Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out) {
-  Cursor cur(payload);
+  ByteReader cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kScoreResponse));
   uint8_t code = 0;
   if (!cur.ReadU64(&out->request_id) || !cur.ReadU8(&code)) {
@@ -202,14 +143,12 @@ Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out) {
   uint32_t n = 0;
   if (!cur.ReadU32(&n)) return Corrupt("truncated score response");
   if (out->code == ResponseCode::kOk) {
-    if (cur.remaining() != 8u * n) {
+    if (cur.remaining() != uint64_t{8} * n) {
       return Corrupt("score count disagrees with body size");
     }
     out->scores.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
-      uint64_t bits = 0;
-      if (!cur.ReadU64(&bits)) return Corrupt("truncated score list");
-      out->scores[i] = std::bit_cast<double>(bits);
+      if (!cur.ReadF64(&out->scores[i])) return Corrupt("truncated score list");
     }
   } else {
     if (!cur.ReadBytes(n, &out->message)) {
@@ -221,55 +160,55 @@ Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out) {
 
 std::string EncodeMetricsRequest(const MetricsRequest& req) {
   std::string out;
-  AppendHeader(&out, MessageType::kMetricsRequest);
-  AppendU64(&out, req.request_id);
+  PutHeader(&out, MessageType::kMetricsRequest);
+  PutU64(&out, req.request_id);
   return out;
 }
 
 std::string EncodeMetricsResponse(const MetricsResponse& resp) {
   std::string out;
-  AppendHeader(&out, MessageType::kMetricsResponse);
-  AppendU64(&out, resp.request_id);
+  PutHeader(&out, MessageType::kMetricsResponse);
+  PutU64(&out, resp.request_id);
   const obs::RegistrySnapshot& snap = resp.snapshot;
-  AppendU32(&out, static_cast<uint32_t>(snap.counters.size()));
+  PutU32(&out, static_cast<uint32_t>(snap.counters.size()));
   for (const auto& [key, value] : snap.counters) {  // std::map: sorted keys
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
+    PutU32(&out, static_cast<uint32_t>(key.size()));
     out.append(key);
-    AppendU64(&out, value);
+    PutU64(&out, value);
   }
-  AppendU32(&out, static_cast<uint32_t>(snap.gauges.size()));
+  PutU32(&out, static_cast<uint32_t>(snap.gauges.size()));
   for (const auto& [key, value] : snap.gauges) {
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
+    PutU32(&out, static_cast<uint32_t>(key.size()));
     out.append(key);
-    AppendU64(&out, static_cast<uint64_t>(value));  // two's complement
+    PutU64(&out, static_cast<uint64_t>(value));  // two's complement
   }
-  AppendU32(&out, static_cast<uint32_t>(snap.histograms.size()));
+  PutU32(&out, static_cast<uint32_t>(snap.histograms.size()));
   for (const auto& [key, h] : snap.histograms) {
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
+    PutU32(&out, static_cast<uint32_t>(key.size()));
     out.append(key);
-    AppendU64(&out, h.count);
-    AppendU64(&out, h.sum);
-    AppendU64(&out, h.p50);
-    AppendU64(&out, h.p95);
-    AppendU64(&out, h.p99);
+    PutU64(&out, h.count);
+    PutU64(&out, h.sum);
+    PutU64(&out, h.p50);
+    PutU64(&out, h.p95);
+    PutU64(&out, h.p99);
   }
-  AppendU32(&out, static_cast<uint32_t>(snap.windows.size()));
+  PutU32(&out, static_cast<uint32_t>(snap.windows.size()));
   for (const auto& [key, w] : snap.windows) {
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
+    PutU32(&out, static_cast<uint32_t>(key.size()));
     out.append(key);
-    AppendU64(&out, w.ticks);
-    AppendU64(&out, w.slots);
-    AppendU64(&out, w.window.count);
-    AppendU64(&out, w.window.sum);
-    AppendU64(&out, w.window.p50);
-    AppendU64(&out, w.window.p95);
-    AppendU64(&out, w.window.p99);
+    PutU64(&out, w.ticks);
+    PutU64(&out, w.slots);
+    PutU64(&out, w.window.count);
+    PutU64(&out, w.window.sum);
+    PutU64(&out, w.window.p50);
+    PutU64(&out, w.window.p95);
+    PutU64(&out, w.window.p99);
   }
   return out;
 }
 
 Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out) {
-  Cursor cur(payload);
+  ByteReader cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kMetricsRequest));
   if (!cur.ReadU64(&out->request_id)) {
     return Corrupt("truncated metrics request");
@@ -278,7 +217,7 @@ Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out) {
 }
 
 Status DecodeMetricsResponse(std::string_view payload, MetricsResponse* out) {
-  Cursor cur(payload);
+  ByteReader cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kMetricsResponse));
   if (!cur.ReadU64(&out->request_id)) {
     return Corrupt("truncated metrics response");
@@ -357,7 +296,7 @@ Status WriteFrame(int fd, std::string_view payload) {
   }
   std::string frame;
   frame.reserve(4 + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
   frame.append(payload);
   size_t sent = 0;
   while (sent < frame.size()) {
@@ -406,10 +345,7 @@ Status ReadFrame(int fd, std::string* payload, bool* eof) {
     return Status::OK();
   }
   if (got < sizeof(len_buf)) return Corrupt("EOF inside frame length");
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(len_buf[i])) << (8 * i);
-  }
+  const uint32_t len = LoadLe32(len_buf);
   if (len == 0 || len > kMaxFramePayloadBytes) {
     return Corrupt("frame length " + std::to_string(len) + " out of range");
   }

@@ -43,11 +43,14 @@
 // client reassembles exactly the doubles the engine produced — the serve
 // e2e pins byte-identity against a direct in-process ScoringEngine call.
 //
-// Corruption discipline matches io::Checkpoint: every malformed input —
-// bad magic, unknown version or type, nonzero reserved byte, oversized
-// or zero frame length, truncated body, trailing bytes — decodes to a
-// Status error, never to UB or a silently wrong message. Encoders are
-// infallible; only decoding and socket I/O can fail.
+// Corruption discipline matches io::Checkpoint, and so does the codec:
+// both encode with common/bytes.h's Put* appenders and decode through its
+// ByteReader. Every malformed input — bad magic, unknown version or type,
+// nonzero reserved byte, oversized or zero frame length, truncated body,
+// a count that disagrees with the body (checked in 64 bits, so no count
+// wraps into agreement), trailing bytes — decodes to a Status error
+// before any list is sized, never to UB or a silently wrong message.
+// Encoders are infallible; only decoding and socket I/O can fail.
 
 #ifndef RETINA_SERVE_PROTOCOL_H_
 #define RETINA_SERVE_PROTOCOL_H_

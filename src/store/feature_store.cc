@@ -1,8 +1,6 @@
 #include "store/feature_store.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -14,64 +12,13 @@
 #include <unistd.h>
 #endif
 
+#include "common/bytes.h"
 #include "io/checkpoint.h"
 
 namespace retina::store {
 namespace {
 
 constexpr size_t kHeaderSize = 8 + 4 + 1 + 3;  // magic, version, endian, pad
-
-// FNV-1a 64-bit, the same checksum the RETINAc1 checkpoint container uses.
-uint64_t Fnv1a(const unsigned char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-// Loads from the mapped file. The endian tag was checked at Open, so the
-// file's byte order is the host's and memcpy decodes directly.
-uint32_t LoadU32(const unsigned char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t LoadU64(const unsigned char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-double LoadF64(const unsigned char* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint8_t HostEndianTag() {
-  return std::endian::native == std::endian::little ? 1 : 2;
-}
 
 Status CorruptBlock(size_t block, const std::string& what) {
   return Status::IOError("corrupt store block " + std::to_string(block) +
@@ -115,31 +62,19 @@ Result<std::unique_ptr<FeatureStoreBuilder>> FeatureStoreBuilder::Create(
   builder->dir_ = dir;
   builder->dim_ = dim;
   builder->options_ = options;
-  builder->tmp_path_ =
-      (std::filesystem::path(dir) / kStoreDataFile).string() + ".tmp";
-  builder->file_ = std::fopen(builder->tmp_path_.c_str(), "wb");
-  if (builder->file_ == nullptr) {
-    return Status::IOError("cannot open for writing: " + builder->tmp_path_);
-  }
+  RETINA_RETURN_NOT_OK(builder->data_file_.Open(
+      (std::filesystem::path(dir) / kStoreDataFile).string()));
   std::string header(kStoreMagic, sizeof(kStoreMagic));
-  AppendU32(&header, kStoreVersion);
-  header.push_back(static_cast<char>(HostEndianTag()));
+  PutU32(&header, kStoreVersion);
+  PutU8(&header, HostEndianTag());
   header.append(3, '\0');
-  if (std::fwrite(header.data(), 1, header.size(), builder->file_) !=
-      header.size()) {
-    return Status::IOError("short write: " + builder->tmp_path_);
-  }
+  RETINA_RETURN_NOT_OK(builder->data_file_.Append(header));
   builder->file_offset_ = header.size();
   return builder;
 }
 
-FeatureStoreBuilder::~FeatureStoreBuilder() {
-  if (file_ != nullptr) std::fclose(file_);
-  if (!finished_ && !tmp_path_.empty()) std::remove(tmp_path_.c_str());
-}
-
 Status FeatureStoreBuilder::Add(uint64_t user, const SparseVec& features) {
-  if (finished_ || file_ == nullptr) {
+  if (finished_) {
     return Status::FailedPrecondition("builder already finished");
   }
   if (features.dim() != dim_) {
@@ -157,11 +92,9 @@ Status FeatureStoreBuilder::Add(uint64_t user, const SparseVec& features) {
 
   block_users_.push_back(user);
   block_offsets_.push_back(block_payload_.size());
-  AppendU32(&block_payload_, static_cast<uint32_t>(features.nnz()));
-  for (const uint32_t idx : features.indices()) {
-    AppendU32(&block_payload_, idx);
-  }
-  for (const double v : features.values()) AppendF64(&block_payload_, v);
+  PutU32(&block_payload_, static_cast<uint32_t>(features.nnz()));
+  for (const uint32_t idx : features.indices()) PutU32(&block_payload_, idx);
+  for (const double v : features.values()) PutF64(&block_payload_, v);
   ++entries_added_;
 
   if (block_users_.size() >= options_.block_entries) return FlushBlock();
@@ -173,9 +106,9 @@ Status FeatureStoreBuilder::FlushBlock() {
   const size_t n = block_users_.size();
   std::string block;
   block.reserve(8 + 16 * n + block_payload_.size());
-  AppendU64(&block, n);
-  for (const uint64_t u : block_users_) AppendU64(&block, u);
-  for (const uint64_t off : block_offsets_) AppendU64(&block, off);
+  PutU64(&block, n);
+  for (const uint64_t u : block_users_) PutU64(&block, u);
+  for (const uint64_t off : block_offsets_) PutU64(&block, off);
   block.append(block_payload_);
 
   const BloomFilter bloom =
@@ -187,13 +120,10 @@ Status FeatureStoreBuilder::FlushBlock() {
   index_offset_.push_back(static_cast<int64_t>(file_offset_));
   index_size_.push_back(static_cast<int64_t>(block.size()));
   index_checksum_.push_back(static_cast<int64_t>(
-      Fnv1a(reinterpret_cast<const unsigned char*>(block.data()),
-            block.size())));
+      Fnv1a64(block.data(), block.size(), io::kChecksumBasis)));
   index_bloom_.push_back(bloom.bits());
 
-  if (std::fwrite(block.data(), 1, block.size(), file_) != block.size()) {
-    return Status::IOError("short write: " + tmp_path_);
-  }
+  RETINA_RETURN_NOT_OK(data_file_.Append(block));
   file_offset_ += block.size();
   block_users_.clear();
   block_offsets_.clear();
@@ -202,23 +132,12 @@ Status FeatureStoreBuilder::FlushBlock() {
 }
 
 Status FeatureStoreBuilder::Finish() {
-  if (finished_ || file_ == nullptr) {
+  if (finished_) {
     return Status::FailedPrecondition("builder already finished");
   }
-  RETINA_RETURN_NOT_OK(FlushBlock());
-  const bool close_ok = std::fclose(file_) == 0;
-  file_ = nullptr;
-  if (!close_ok) {
-    std::remove(tmp_path_.c_str());
-    return Status::IOError("close failed: " + tmp_path_);
-  }
-  const std::string data_path =
-      (std::filesystem::path(dir_) / kStoreDataFile).string();
-  if (std::rename(tmp_path_.c_str(), data_path.c_str()) != 0) {
-    std::remove(tmp_path_.c_str());
-    return Status::IOError("cannot rename " + tmp_path_ + " to " + data_path);
-  }
   finished_ = true;
+  RETINA_RETURN_NOT_OK(FlushBlock());
+  RETINA_RETURN_NOT_OK(data_file_.Commit());
 
   io::Checkpoint index;
   index.PutI64(kIdxVersion, kStoreVersion);
@@ -328,16 +247,11 @@ Result<std::unique_ptr<FeatureStore>> FeatureStore::Open(
       ::close(fd);
     }
 #else
-    std::FILE* f = std::fopen(data_path.c_str(), "rb");
-    if (f == nullptr) {
-      return Status::IOError("cannot open store data file: " + data_path);
+    const Status read = ReadFileToString(data_path, &store->heap_fallback_);
+    if (!read.ok()) {
+      return Status::IOError("cannot read store data file: " +
+                             read.message());
     }
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      store->heap_fallback_.append(buf, n);
-    }
-    std::fclose(f);
     store->data_ =
         reinterpret_cast<const unsigned char*>(store->heap_fallback_.data());
     store->data_size_ = store->heap_fallback_.size();
@@ -354,7 +268,7 @@ Result<std::unique_ptr<FeatureStore>> FeatureStore::Open(
       std::memcmp(store->data_, kStoreMagic, sizeof(kStoreMagic)) != 0) {
     return Status::IOError("corrupt store data file: bad magic");
   }
-  if (LoadU32(store->data_ + 8) != kStoreVersion) {
+  if (LoadLe32(store->data_ + 8) != kStoreVersion) {
     return Status::IOError("corrupt store data file: bad version");
   }
   if (store->data_[12] != HostEndianTag()) {
@@ -414,7 +328,7 @@ FeatureStore::~FeatureStore() {
 Status FeatureStore::VerifyBlock(size_t b) {
   if (block_verified_[b]) return Status::OK();
   const uint64_t actual =
-      Fnv1a(data_ + block_offset_[b], block_size_[b]);
+      Fnv1a64(data_ + block_offset_[b], block_size_[b], io::kChecksumBasis);
   if (actual != block_checksum_[b]) {
     return CorruptBlock(b, "checksum mismatch");
   }
@@ -453,7 +367,7 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   const unsigned char* block = data_ + block_offset_[b];
   const uint64_t block_size = block_size_[b];
   if (block_size < 8) return CorruptBlock(b, "shorter than its entry count");
-  const uint64_t n = LoadU64(block);
+  const uint64_t n = LoadLe64(block);
   if (n == 0 || n > (block_size - 8) / 16) {
     return CorruptBlock(b, "entry count inconsistent with block size");
   }
@@ -466,25 +380,25 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   size_t lo = 0, hi = static_cast<size_t>(n);
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    const uint64_t mid_user = LoadU64(users + 8 * mid);
+    const uint64_t mid_user = LoadLe64(users + 8 * mid);
     if (mid_user < user) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo == n || LoadU64(users + 8 * lo) != user) {
+  if (lo == n || LoadLe64(users + 8 * lo) != user) {
     *outcome = LookupOutcome::kAbsentBlock;  // Bloom false positive
     hooks_.bloom_false_positives->Add(1);
     return Status::OK();
   }
 
-  const uint64_t entry_off = LoadU64(offsets + 8 * lo);
+  const uint64_t entry_off = LoadLe64(offsets + 8 * lo);
   if (entry_off > payload_size || payload_size - entry_off < 4) {
     return CorruptBlock(b, "entry offset outside the payload");
   }
   const unsigned char* entry = payload + entry_off;
-  const uint32_t nnz = LoadU32(entry);
+  const uint32_t nnz = LoadLe32(entry);
   if (nnz > dim_ || payload_size - entry_off - 4 <
                         static_cast<uint64_t>(nnz) * 12) {
     return CorruptBlock(b, "entry extends past the payload");
@@ -494,11 +408,11 @@ Status FeatureStore::Lookup(uint64_t user, SparseVec* out,
   const unsigned char* val_bytes = idx_bytes + 4 * static_cast<size_t>(nnz);
   uint32_t prev_idx = 0;
   for (uint32_t i = 0; i < nnz; ++i) {
-    const uint32_t idx = LoadU32(idx_bytes + 4 * i);
+    const uint32_t idx = LoadLe32(idx_bytes + 4 * i);
     if (idx >= dim_ || (i > 0 && idx <= prev_idx)) {
       return CorruptBlock(b, "entry indices not ascending below dim");
     }
-    decoded.PushBack(idx, LoadF64(val_bytes + 8 * i));
+    decoded.PushBack(idx, LoadLeF64(val_bytes + 8 * i));
     prev_idx = idx;
   }
   *out = std::move(decoded);

@@ -11,7 +11,8 @@
 // does not hold nearly free (no disk touch at all).
 //
 // On-disk layout (directory with two files, both written atomically via
-// temp-file + rename, following the RETINAc1 container conventions):
+// temp-file + rename, following the RETINAc1 container conventions; the
+// encoding, the checksum and the atomic write are common/bytes.h's):
 //
 //   blocks.dat   magic "RETINAs1" | u32 version | u8 endian tag | 3 zero
 //                then blocks back to back, each:
@@ -25,6 +26,10 @@
 //                (dim, entry count, sizing knobs) and per-block parallel
 //                lists: first/last user, offset, byte size, checksum, and
 //                the serialized Bloom filter.
+//
+// A block's checksum is FNV-1a 64 over its bytes (from its u64 n through
+// the end of its payload), from io::kChecksumBasis, 1469598103934665603:
+// the published basis without its last digit, as in the checkpoint.
 //
 // Doubles round-trip as bit patterns, so a block read returns exactly the
 // SparseVec the builder was handed — the tiered read path is bit-identical
@@ -50,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/obs.h"
 #include "common/sparse_vec.h"
 #include "common/status.h"
@@ -93,8 +99,6 @@ class FeatureStoreBuilder {
   static Result<std::unique_ptr<FeatureStoreBuilder>> Create(
       const std::string& dir, size_t dim, FeatureStoreOptions options = {});
 
-  ~FeatureStoreBuilder();
-
   FeatureStoreBuilder(const FeatureStoreBuilder&) = delete;
   FeatureStoreBuilder& operator=(const FeatureStoreBuilder&) = delete;
 
@@ -114,8 +118,7 @@ class FeatureStoreBuilder {
   Status FlushBlock();
 
   std::string dir_;
-  std::string tmp_path_;
-  std::FILE* file_ = nullptr;
+  AtomicFile data_file_;      // blocks.dat, published by Finish
   uint64_t file_offset_ = 0;  // bytes written so far (incl. header)
   size_t dim_ = 0;
   FeatureStoreOptions options_;

@@ -1,13 +1,18 @@
 // Unit tests for src/common: Status/Result, Rng (including distributional
-// properties), vector/matrix kernels, string utilities and the table writer.
+// properties), vector/matrix kernels, string utilities, the byte codec and
+// the table writer.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -417,6 +422,115 @@ TEST(StringTest, StartsWithAndFormat) {
   EXPECT_FALSE(StartsWith("ftp://x", "https://"));
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(0.5, 0), "0");
+}
+
+// ----------------------------------------------------------------- Bytes --
+
+TEST(BytesTest, PutWritesLittleEndianAndReaderReadsItBack) {
+  std::string out;
+  PutU8(&out, 0x7F);
+  PutU16(&out, 0x0102);
+  PutU32(&out, 0x01020304u);
+  PutU64(&out, 0x0102030405060708ull);
+  PutI64(&out, -2);
+  PutF64(&out, -0.0);
+  EXPECT_EQ(out.substr(0, 7), std::string("\x7F\x02\x01\x04\x03\x02\x01", 7));
+  EXPECT_EQ(LoadLe64(out.data() + 7), 0x0102030405060708ull);
+
+  ByteReader in(out);
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  double f64 = 1.0;
+  ASSERT_TRUE(in.ReadU8(&u8) && in.ReadU16(&u16) && in.ReadU32(&u32) &&
+              in.ReadU64(&u64) && in.ReadI64(&i64) && in.ReadF64(&f64));
+  EXPECT_EQ(u8, 0x7F);
+  EXPECT_EQ(u16, 0x0102);
+  EXPECT_EQ(u32, 0x01020304u);
+  EXPECT_EQ(u64, 0x0102030405060708ull);
+  EXPECT_EQ(i64, -2);
+  EXPECT_TRUE(std::signbit(f64));
+  EXPECT_TRUE(in.AtEnd());
+}
+
+TEST(BytesTest, ReadAtOrPastTheEndFailsAndKeepsThePosition) {
+  ByteReader in(std::string_view("abc", 3));
+  uint32_t u32 = 7;
+  EXPECT_FALSE(in.ReadU32(&u32));
+  EXPECT_EQ(in.pos(), 0u);
+  EXPECT_EQ(u32, 7u);
+  uint16_t u16 = 0;
+  ASSERT_TRUE(in.ReadU16(&u16));
+  EXPECT_FALSE(in.ReadU16(&u16));
+  EXPECT_EQ(in.pos(), 2u);
+  std::string bytes;
+  EXPECT_FALSE(in.ReadBytes(2, &bytes));
+  EXPECT_EQ(in.pos(), 2u);
+  ASSERT_TRUE(in.ReadBytes(1, &bytes));
+  EXPECT_EQ(bytes, "c");
+  EXPECT_TRUE(in.AtEnd());
+  uint8_t u8 = 0;
+  EXPECT_FALSE(in.ReadU8(&u8));
+  EXPECT_FALSE(in.ReadBytes(UINT64_MAX, &bytes));
+  EXPECT_EQ(in.pos(), 3u);
+  EXPECT_TRUE(in.ReadBytes(0, &bytes));
+  EXPECT_EQ(bytes, "");
+}
+
+TEST(BytesTest, FitsRejectsCountsWhoseByteSizeOverflows) {
+  const std::string sixteen(16, '\0');
+  ByteReader in(sixteen);
+  EXPECT_TRUE(in.Fits(2, 8));
+  EXPECT_FALSE(in.Fits(3, 8));
+  // 2^61 * 8 and 2^62 * 4 wrap to 0 in 64 bits; neither fits.
+  EXPECT_FALSE(in.Fits(uint64_t{1} << 61, 8));
+  EXPECT_FALSE(in.Fits(uint64_t{1} << 62, 4));
+  EXPECT_FALSE(in.Fits(UINT64_MAX, 2));
+  EXPECT_TRUE(in.Fits(UINT64_MAX, 0));
+}
+
+TEST(BytesTest, Fnv1a64MatchesThePublishedVectors) {
+  EXPECT_EQ(Fnv1a64("a", 1, kFnv1a64Basis), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("", 0, kFnv1a64Basis), kFnv1a64Basis);
+  // A hash continues from the previous one.
+  EXPECT_EQ(Fnv1a64("b", 1, Fnv1a64("a", 1, kFnv1a64Basis)),
+            Fnv1a64("ab", 2, kFnv1a64Basis));
+}
+
+TEST(BytesTest, AtomicFilePublishesOnlyOnCommit) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("retina_bytes_test_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove(path);
+  {
+    AtomicFile file;
+    ASSERT_TRUE(file.Open(path).ok());
+    ASSERT_TRUE(file.Append("abandoned").ok());
+    EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  AtomicFile file;
+  ASSERT_TRUE(file.Open(path).ok());
+  ASSERT_TRUE(file.Append("he").ok());
+  ASSERT_TRUE(file.Append("llo").ok());
+  ASSERT_TRUE(file.Commit().ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::string read;
+  ASSERT_TRUE(ReadFileToString(path, &read).ok());
+  EXPECT_EQ(read, "hello");
+
+  ASSERT_TRUE(AtomicFile::Write(path, "over").ok());
+  ASSERT_TRUE(ReadFileToString(path, &read).ok());
+  EXPECT_EQ(read, "over");
+  std::filesystem::remove(path);
+  EXPECT_EQ(ReadFileToString(path, &read).code(), StatusCode::kIOError);
+  EXPECT_FALSE(AtomicFile::Write("/nonexistent/retina/x", "y").ok());
 }
 
 // --------------------------------------------------------------- Logging --

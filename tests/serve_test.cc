@@ -414,6 +414,33 @@ TEST(ProtocolTest, GoldenBytesPinEveryEncoder) {
   EXPECT_EQ(ToHex(wire), "1000000052455450020005000600000000000000");
 }
 
+// A count whose byte size is 2^32 wraps to 0 in 32-bit arithmetic, which
+// would make a short body look consistent and size a 4 GiB list. Both
+// decoders must reject these before any list is sized.
+TEST(ProtocolTest, WrappedCountsAreStatusErrors) {
+  ScoreRequest req;
+  req.request_id = 1;
+  std::string request = EncodeScoreRequest(req);
+  ASSERT_EQ(request.size(), 44u);
+  const uint32_t users = 1u << 30;  // 4 * 2^30 = 2^32
+  std::memcpy(request.data() + 24, &users, 4);
+  ScoreRequest req_out;
+  const Status req_st = DecodeScoreRequest(request, &req_out);
+  EXPECT_FALSE(req_st.ok());
+  EXPECT_TRUE(req_out.users.empty());
+
+  ScoreResponse resp;
+  resp.request_id = 2;
+  std::string response = EncodeScoreResponse(resp);
+  ASSERT_EQ(response.size(), 21u);
+  const uint32_t scores = 1u << 29;  // 8 * 2^29 = 2^32
+  std::memcpy(response.data() + 17, &scores, 4);
+  ScoreResponse resp_out;
+  const Status resp_st = DecodeScoreResponse(response, &resp_out);
+  EXPECT_FALSE(resp_st.ok());
+  EXPECT_TRUE(resp_out.scores.empty());
+}
+
 TEST(ProtocolTest, TruncatedFrameAndBadLengthPrefixAreErrors) {
   {
     // EOF in the middle of a frame body is an error, not a clean EOF.

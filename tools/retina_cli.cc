@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/bytes.h"
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/parallel.h"
@@ -537,24 +538,13 @@ int CmdEval(const Args& args) {
 
 // ------------------------------------------------------------ digest --
 
-constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
-
-// FNV-1a 64 over raw bytes, continuing from `hash`; over doubles that is
-// their bit patterns, so equal hashes mean equal bits.
-uint64_t Fnv1a(const void* data, size_t n, uint64_t hash = kFnvOffsetBasis) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-// " name=<hash>" over n bytes at data.
+// " name=<hash>": FNV-1a 64 (published basis) over n bytes at data; over
+// doubles that is their bit patterns, so equal hashes mean equal bits.
 std::string HashField(const char* name, const void* data, size_t n) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), " %s=%016llx", name,
-                static_cast<unsigned long long>(Fnv1a(data, n)));
+                static_cast<unsigned long long>(
+                    Fnv1a64(data, n, kFnv1a64Basis)));
   return buf;
 }
 
@@ -678,7 +668,7 @@ int CmdDigest(const Args& args) {
 
   // Each configuration at 1 and at 4 threads; DIGEST hashes the printed
   // lines, so it changes with any configuration's bits.
-  uint64_t digest = kFnvOffsetBasis;
+  uint64_t digest = kFnv1a64Basis;
   bool agree = true;
   for (const Config& config : configs) {
     Stopwatch timer;
@@ -703,8 +693,8 @@ int CmdDigest(const Args& args) {
     }
     std::printf("%s\n", line.c_str());
     std::fflush(stdout);
-    digest = Fnv1a(line.data(), line.size(), digest);
-    digest = Fnv1a("\n", 1, digest);
+    digest = Fnv1a64(line.data(), line.size(), digest);
+    digest = Fnv1a64("\n", 1, digest);
   }
   std::printf("DIGEST %016llx\n", static_cast<unsigned long long>(digest));
   return agree ? 0 : 1;
