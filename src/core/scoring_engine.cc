@@ -19,7 +19,7 @@ ScoringEngine::ObsHooks ScoringEngine::ObsHooks::Resolve() {
       reg.GetCounter("serving.user_cache.misses"),
       reg.GetCounter("serving.tweet_cache.hits"),
       reg.GetCounter("serving.tweet_cache.misses"),
-      reg.GetGauge("serving.user_cache.evictions"),
+      reg.GetCounter("serving.user_cache.evictions"),
       reg.GetCounter("store.tier.hits"),
       reg.GetCounter("store.tier.misses"),
       reg.GetCounter("store.tier.promotes"),
@@ -187,6 +187,7 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
       arena.Allocate(n * sizeof(const double*), alignof(const double*)));
 
   size_t batch_hits = 0, batch_misses = 0;
+  const uint64_t evictions_before = user_cache_.evictions();
   for (size_t i = 0; i < n; ++i) {
     const NodeId u = users[i];
     const SparseVec* block = nullptr;
@@ -232,7 +233,7 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
   }
   hooks_.user_hits->Add(batch_hits);
   hooks_.user_misses->Add(batch_misses);
-  hooks_.user_evictions->Set(static_cast<int64_t>(user_cache_.evictions()));
+  hooks_.user_evictions->Add(user_cache_.evictions() - evictions_before);
 
   scores->resize(n);
   if (options_.batched) {
@@ -244,11 +245,12 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
     }
   }
 
-  // Memory telemetry: what this thread's arena holds, its historical
-  // footprint, and the cumulative bytes the scoring path has bumped
-  // through it.
-  hooks_.arena_reserved->Set(static_cast<int64_t>(arena.bytes_reserved()));
-  hooks_.arena_high_water->Set(
+  // Memory telemetry: the most any scoring thread's arena has reserved,
+  // its largest footprint, and the cumulative bytes the scoring path has
+  // bumped through the arenas. Maxima, so every engine and thread counts.
+  hooks_.arena_reserved->UpdateMax(
+      static_cast<int64_t>(arena.bytes_reserved()));
+  hooks_.arena_high_water->UpdateMax(
       static_cast<int64_t>(arena.high_water_bytes()));
   hooks_.score_alloc_bytes->Add(arena.bytes_used());
 

@@ -166,7 +166,7 @@ class ScoringEngine {
     obs::Counter* user_misses;
     obs::Counter* tweet_hits;
     obs::Counter* tweet_misses;
-    obs::Gauge* user_evictions;
+    obs::Counter* user_evictions;
     obs::Counter* store_hits;        ///< store.tier.hits
     obs::Counter* store_misses;      ///< store.tier.misses
     obs::Counter* store_promotes;    ///< store.tier.promotes
@@ -177,8 +177,8 @@ class ScoringEngine {
     obs::Histogram* lookup_warm_ns;     ///< per-user lookup, LRU hit
     obs::Histogram* lookup_store_ns;    ///< per-user lookup, store tier
     obs::Histogram* lookup_compute_ns;  ///< per-user lookup, recomputed
-    obs::Gauge* arena_reserved;    ///< arena.bytes_reserved (this thread)
-    obs::Gauge* arena_high_water;  ///< arena.high_water_bytes (this thread)
+    obs::Gauge* arena_reserved;    ///< arena.bytes_reserved (max thread)
+    obs::Gauge* arena_high_water;  ///< arena.high_water_bytes (max thread)
     obs::Counter* score_alloc_bytes;  ///< cumulative arena bytes per request
   };
   ObsHooks hooks_;

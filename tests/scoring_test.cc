@@ -491,13 +491,6 @@ uint64_t CounterSince(const obs::RegistrySnapshot& before,
   return it == delta.counters.end() ? 0 : it->second;
 }
 
-/// The per-user LRU eviction total the last-scoring engine published.
-int64_t UserEvictions() {
-  return obs::Registry::Global()
-      .GetGauge("serving.user_cache.evictions")
-      ->Get();
-}
-
 TEST(ScoringEngineTest, AllModesBitIdenticalToModelScores) {
   auto& f = SharedFixture();
   const auto model = TrainModel(f.task, /*dynamic=*/false);
@@ -682,11 +675,40 @@ TEST(ScoringEngineTest, TinyUserCacheEvictsAndStaysCorrect) {
   opts.user_cache_capacity = 4;  // far below the distinct-user count
   opts.tweet_cache_capacity = 2;
   ScoringEngine engine(model.get(), f.extractor.get(), opts);
+  const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
   const Vec served = ServeTestSplit(&engine, f.task);
-  EXPECT_GT(UserEvictions(), 0);
+  EXPECT_GT(CounterSince(before, "serving.user_cache.evictions"), 0u);
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(served[i], reference[i]) << "candidate " << i;
   }
+}
+
+TEST(ScoringEngineTest, EvictionsCountEveryEngineNotTheLastOne) {
+  // Engine A's 2-entry user LRU evicts; engine B then scores the same split
+  // without evicting. The counter keeps A's evictions: it does not read as
+  // whichever engine scored last.
+  auto& f = SharedFixture();
+  const auto model = TrainModel(f.task, /*dynamic=*/false);
+  ScoringEngineOptions tiny;
+  tiny.user_cache_capacity = 2;
+  ScoringEngine a(model.get(), f.extractor.get(), tiny);
+  ScoringEngine b(model.get(), f.extractor.get());
+  obs::Registry& reg = obs::Registry::Global();
+
+  const obs::RegistrySnapshot before = reg.TakeSnapshot();
+  ServeTestSplit(&a, f.task);
+  const uint64_t a_evictions =
+      CounterSince(before, "serving.user_cache.evictions");
+  // Every miss past the first two inserts a user into a full cache.
+  EXPECT_EQ(a_evictions,
+            CounterSince(before, "serving.user_cache.misses") - 2);
+  EXPECT_GT(a_evictions, 0u);
+
+  const obs::RegistrySnapshot between = reg.TakeSnapshot();
+  ServeTestSplit(&b, f.task);
+  EXPECT_EQ(CounterSince(between, "serving.user_cache.evictions"), 0u);
+  EXPECT_EQ(CounterSince(before, "serving.user_cache.evictions"),
+            a_evictions);
 }
 
 // ---------------------------------------------------- Tiered user store --
@@ -752,7 +774,7 @@ TEST(ScoringEngineStoreTest, TinyLruServesFromStoreAndStaysBitIdentical) {
   EXPECT_EQ(store_hits, CounterSince(before, "serving.user_cache.misses"));
   EXPECT_EQ(CounterSince(before, "store.tier.promotes"), store_hits);
   EXPECT_GT(store_hits, 1u);
-  EXPECT_GT(UserEvictions(), 0);
+  EXPECT_GT(CounterSince(before, "serving.user_cache.evictions"), 0u);
   std::filesystem::remove_all(dir);
 }
 

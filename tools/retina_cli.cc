@@ -426,9 +426,8 @@ int CmdTrainRetweet(const Args& args) {
   const obs::RegistrySnapshot before = reg.TakeSnapshot();
   Vec scores;
   engine.ScoreCandidatesInto(task, task.test, &scores);
-  const obs::RegistrySnapshot after = reg.TakeSnapshot();
   const obs::RegistrySnapshot served =
-      obs::Registry::SnapshotDelta(before, after);
+      obs::Registry::SnapshotDelta(before, reg.TakeSnapshot());
   const auto count = [&](const char* name) {
     return static_cast<unsigned long long>(served.counters.at(name));
   };
@@ -447,9 +446,7 @@ int CmdTrainRetweet(const Args& args) {
       count("serving.requests"), count("serving.candidates"),
       count("serving.user_cache.hits"),
       count("serving.user_cache.hits") + count("serving.user_cache.misses"),
-      // The engine publishes its own eviction total as this gauge.
-      static_cast<unsigned long long>(
-          after.gauges.at("serving.user_cache.evictions")));
+      count("serving.user_cache.evictions"));
   if (!args.save_model.empty()) {
     core::ScoringBundleMeta meta;
     meta.task_seed = args.seed;
