@@ -1,11 +1,10 @@
 // Least-recently-used cache over an unordered_map + recency list.
 //
 // Serving-side caches (ScoringEngine's per-user feature invariants and
-// per-tweet contexts) are bounded by capacity — and optionally by a byte
-// budget with a per-entry cost supplied at Put — and evict the entry that
-// has gone unread the longest. Not thread-safe: callers own their engine
-// instance; parallel scoring happens below the cache (inside the batched
-// model forward), never across it.
+// per-tweet contexts) are bounded by an entry capacity and evict the
+// entry that has gone unread the longest. Not thread-safe: callers own
+// their engine instance; parallel scoring happens below the cache (inside
+// the batched model forward), never across it.
 
 #ifndef RETINA_COMMON_LRU_CACHE_H_
 #define RETINA_COMMON_LRU_CACHE_H_
@@ -19,95 +18,56 @@
 
 namespace retina {
 
-/// \brief Fixed-capacity LRU map. Get refreshes recency; Put evicts
-/// least-recently-used entries while the cache exceeds its entry capacity
-/// or (when set) its byte budget.
+/// \brief Fixed-capacity LRU map. Get refreshes recency; Put evicts the
+/// least-recently-used entry once the cache exceeds its capacity.
 template <typename K, typename V>
 class LruCache {
  public:
-  /// `byte_budget` of 0 disables byte accounting (count-only eviction).
-  /// With a budget, pass each entry's cost to Put; eviction drops LRU
-  /// entries until the budget holds again, but always keeps the entry
-  /// just inserted (a single over-budget entry still caches).
-  explicit LruCache(size_t capacity, size_t byte_budget = 0)
-      : capacity_(capacity), byte_budget_(byte_budget) {
+  explicit LruCache(size_t capacity) : capacity_(capacity) {
     assert(capacity > 0);
   }
 
   /// Returns the cached value (marking it most recently used) or nullptr.
-  /// The pointer stays valid until the next Put/Clear.
+  /// The pointer stays valid until the next Put.
   V* Get(const K& key) {
     auto it = index_.find(key);
     if (it == index_.end()) return nullptr;
     items_.splice(items_.begin(), items_, it->second);
-    return &it->second->second.value;
+    return &it->second->second;
   }
 
   /// Inserts (or overwrites) key as the most recently used entry and
   /// returns a pointer to the stored value, evicting from the LRU end
-  /// while over capacity or over the byte budget. `cost` is the entry's
-  /// accounted size in bytes; it only matters when a byte budget is set.
-  V* Put(K key, V value, size_t cost = 0) {
+  /// while over capacity.
+  V* Put(K key, V value) {
     auto it = index_.find(key);
     if (it != index_.end()) {
-      bytes_ -= it->second->second.cost;
-      bytes_ += cost;
-      it->second->second = Entry{std::move(value), cost};
+      it->second->second = std::move(value);
       items_.splice(items_.begin(), items_, it->second);
-      EvictOverBudget();
-      return &it->second->second.value;
+      return &it->second->second;
     }
-    items_.emplace_front(key, Entry{std::move(value), cost});
+    items_.emplace_front(key, std::move(value));
     index_.emplace(std::move(key), items_.begin());
-    bytes_ += cost;
-    if (items_.size() > capacity_) EvictBack();
-    EvictOverBudget();
-    return &items_.front().second.value;
+    if (items_.size() > capacity_) {
+      index_.erase(items_.back().first);
+      items_.pop_back();
+      ++evictions_;
+    }
+    return &items_.front().second;
   }
 
   bool Contains(const K& key) const { return index_.count(key) > 0; }
 
-  void Clear() {
-    items_.clear();
-    index_.clear();
-    bytes_ = 0;
-  }
-
   size_t size() const { return items_.size(); }
   size_t capacity() const { return capacity_; }
-  /// Sum of the costs of the resident entries.
-  size_t bytes() const { return bytes_; }
-  size_t byte_budget() const { return byte_budget_; }
   /// Total entries evicted over the cache's lifetime.
   uint64_t evictions() const { return evictions_; }
 
  private:
-  struct Entry {
-    V value;
-    size_t cost;
-  };
-
-  void EvictBack() {
-    bytes_ -= items_.back().second.cost;
-    index_.erase(items_.back().first);
-    items_.pop_back();
-    ++evictions_;
-  }
-
-  void EvictOverBudget() {
-    if (byte_budget_ == 0) return;
-    // Never evict the most-recent entry: the caller holds a pointer into
-    // it, and an empty cache would thrash on every lookup anyway.
-    while (bytes_ > byte_budget_ && items_.size() > 1) EvictBack();
-  }
-
   size_t capacity_;
-  size_t byte_budget_;
-  size_t bytes_ = 0;
   uint64_t evictions_ = 0;
-  std::list<std::pair<K, Entry>> items_;  // front = most recently used
-  std::unordered_map<K, typename std::list<std::pair<K, Entry>>::iterator>
-      index_;
+  std::list<std::pair<K, V>> items_;  // front = most recently used
+  std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator> index_;
 };
 
 }  // namespace retina

@@ -42,8 +42,7 @@ ScoringEngine::ScoringEngine(const Retina* model,
     : model_(model),
       extractor_(extractor),
       options_(options),
-      user_cache_(std::max<size_t>(1, options.user_cache_capacity),
-                  options.user_cache_bytes),
+      user_cache_(std::max<size_t>(1, options.user_cache_capacity)),
       tweet_cache_(std::max<size_t>(1, options.tweet_cache_capacity)),
       hooks_(ObsHooks::Resolve()) {
   RETINA_LOG(Debug) << "scoring engine up: user_cache="
@@ -51,18 +50,6 @@ ScoringEngine::ScoringEngine(const Retina* model,
                     << " tweet_cache=" << options_.tweet_cache_capacity
                     << (options_.cache_features ? "" : " (caching off)");
 }
-
-namespace {
-
-// Accounted LRU cost of a cached history block: the sparse payload plus
-// the container object itself. Approximate (ignores vector slack), but
-// monotone in nnz, which is what a byte budget needs.
-size_t HistoryBlockCost(const SparseVec& block) {
-  return sizeof(SparseVec) +
-         block.nnz() * (sizeof(uint32_t) + sizeof(double));
-}
-
-}  // namespace
 
 Status ScoringEngine::AttachStore(const std::string& dir) {
   auto store_result = store::FeatureStore::Open(dir);
@@ -82,10 +69,9 @@ Status ScoringEngine::AttachStore(const std::string& dir) {
 }
 
 Status ScoringEngine::BuildStore(const FeatureExtractor& extractor,
-                                 const std::string& dir,
-                                 store::FeatureStoreOptions store_options) {
-  auto builder_result = store::FeatureStoreBuilder::Create(
-      dir, extractor.HistoryBlockDim(), store_options);
+                                 const std::string& dir) {
+  auto builder_result =
+      store::FeatureStoreBuilder::Create(dir, extractor.HistoryBlockDim());
   RETINA_RETURN_NOT_OK(builder_result.status());
   std::unique_ptr<store::FeatureStoreBuilder> builder =
       std::move(builder_result).ValueOrDie();
@@ -203,9 +189,7 @@ void ScoringEngine::ScoreTweetInto(const datagen::Tweet& tweet,
       } else {
         ++batch_misses;
         obs::TraceInstant("serving.user_cache.miss");
-        SparseVec fetched = FetchHistoryBlock(u, &source);
-        const size_t cost = HistoryBlockCost(fetched);
-        block = user_cache_.Put(u, std::move(fetched), cost);
+        block = user_cache_.Put(u, FetchHistoryBlock(u, &source));
         if (source == BlockSource::kStore) hooks_.store_promotes->Add(1);
       }
     } else {

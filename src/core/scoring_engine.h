@@ -58,11 +58,6 @@ namespace retina::core {
 struct ScoringEngineOptions {
   /// Per-user history-block LRU capacity.
   size_t user_cache_capacity = 4096;
-  /// Optional byte budget for the per-user LRU (0 = entry count only).
-  /// Entries are costed as their sparse payload plus container overhead,
-  /// so the warm tier's RAM footprint is bounded even when history blocks
-  /// are dense.
-  size_t user_cache_bytes = 0;
   /// Per-tweet context LRU capacity (content, embedding, news window, BFS).
   size_t tweet_cache_capacity = 256;
   /// Score through Retina::ScoreBatchRows (one GEMM per layer over arena
@@ -110,12 +105,12 @@ class ScoringEngine {
   /// any previously attached store.
   Status AttachStore(const std::string& dir);
 
-  /// Builds a store directory covering every user of the extractor's
-  /// world, in id order, holding exactly the SparseVec the engine's miss
-  /// path would compute — the prerequisite for tier bit-identity.
+  /// Builds a store directory (default store options) covering every
+  /// user of the extractor's world, in id order, holding exactly the
+  /// SparseVec the engine's miss path would compute — the prerequisite
+  /// for tier bit-identity.
   static Status BuildStore(const FeatureExtractor& extractor,
-                           const std::string& dir,
-                           store::FeatureStoreOptions store_options = {});
+                           const std::string& dir);
 
   /// Attached store, or nullptr.
   const store::FeatureStore* store() const { return store_.get(); }

@@ -43,8 +43,8 @@ void RequestHandler::BuildEngines(const core::Retina* model,
   const size_t n = options.num_workers == 0 ? 1 : options.num_workers;
   engines_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    engines_.push_back(std::make_unique<core::ScoringEngine>(
-        model, extractor, options.engine));
+    engines_.push_back(
+        std::make_unique<core::ScoringEngine>(model, extractor));
   }
   user_scratch_.resize(n);
   batch_scores_scratch_.resize(n);

@@ -73,9 +73,9 @@ class Handler {
 };
 
 struct RequestHandlerOptions {
-  /// Worker engines to create (also the server's scoring concurrency).
+  /// Worker engines to create (also the server's scoring concurrency),
+  /// each with default core::ScoringEngineOptions.
   size_t num_workers = 4;
-  core::ScoringEngineOptions engine;
 };
 
 /// \brief Production handler: a loaded scoring bundle behind per-worker

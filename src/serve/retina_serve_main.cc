@@ -2,7 +2,7 @@
 //
 //   retina_serve --data DIR --model DIR [--socket PATH] [--listen HOST:PORT]
 //                [--workers N] [--queue-capacity N]
-//                [--coalesce-max-batch N] [--coalesce-linger POLLS]
+//                [--coalesce-max-batch N]
 //                [--metrics-out FILE] [--trace-out FILE] [--prom-out FILE]
 //                [--metrics-tick N] [--log-level LEVEL] [--simd BACKEND]
 //
@@ -45,7 +45,6 @@ struct Args {
   size_t workers = 4;
   size_t queue_capacity = 256;
   size_t coalesce_max_batch = 16;
-  size_t coalesce_linger = 2;
   size_t metrics_tick = 64;
 };
 
@@ -67,8 +66,6 @@ int Usage() {
       "  --coalesce-max-batch N  max same-tweet requests fused into one\n"
       "                        batched handler call; 1 disables coalescing\n"
       "                        (default 16)\n"
-      "  --coalesce-linger POLLS  extra non-blocking queue polls spent\n"
-      "                        topping up a partial batch (default 2)\n"
       "  --metrics-out FILE    dump the obs registry as JSON on drain\n"
       "  --trace-out FILE      record a timeline trace for the whole run\n"
       "  --prom-out FILE       refresh a Prometheus text exposition of the\n"
@@ -140,10 +137,6 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
           static_cast<size_t>(std::atoll(value.c_str()));
       continue;
     }
-    if (take("--coalesce-linger", &value)) {
-      args->coalesce_linger = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
     *rc = UnknownFlag(arg);
     return false;
   }
@@ -207,7 +200,6 @@ int main(int argc, char** argv) {
   sopts.listen_address = args.listen;
   sopts.queue_capacity = args.queue_capacity;
   sopts.coalesce_max_batch = args.coalesce_max_batch;
-  sopts.coalesce_linger_polls = args.coalesce_linger;
   sopts.install_signal_handler = true;
   sopts.metrics_tick_requests = args.metrics_tick;
   sopts.prom_out = args.prom_out;

@@ -467,7 +467,7 @@ void Server::WorkerLoop(size_t worker) {
     // than wall time so the window is deterministic under test scheduling
     // and costs nothing when the queue is already keeping workers busy.
     for (size_t poll = 0;
-         max_batch > 1 && poll < options_.coalesce_linger_polls &&
+         max_batch > 1 && poll < kCoalesceLingerPolls &&
          run.size() < max_batch;
          ++poll) {
       if (queue_.TryPopBatch(&run, max_batch - run.size()) == 0) {

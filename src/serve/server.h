@@ -24,7 +24,7 @@
 // next?" requests against the same hot tweet — which is exactly what the
 // engine's batched GEMM path was built for. Instead of popping one item,
 // a worker pops a contiguous FIFO run of up to coalesce_max_batch items
-// (BoundedQueue::PopBatch), lingers for coalesce_linger_polls extra
+// (BoundedQueue::PopBatch), lingers for kCoalesceLingerPolls extra
 // non-blocking queue polls to let a partial batch fill (polls, not wall
 // clock, so tests stay deterministic), groups the run by tweet id in
 // first-appearance order, and hands each group to
@@ -91,6 +91,11 @@
 
 namespace retina::serve {
 
+/// Extra non-blocking queue polls a worker spends topping up a partial
+/// run before dispatching it. Measured in polls, not wall time, so the
+/// linger window is deterministic under test scheduling.
+inline constexpr size_t kCoalesceLingerPolls = 2;
+
 struct ServerOptions {
   /// Filesystem path of the Unix-domain listening socket (empty = no Unix
   /// listener). A leftover file at the path is connect-probed first: if a
@@ -112,10 +117,6 @@ struct ServerOptions {
   /// coalescing (every request dispatches alone, the pre-coalescing
   /// behavior).
   size_t coalesce_max_batch = 16;
-  /// Extra non-blocking queue polls a worker spends topping up a partial
-  /// run before dispatching it. Measured in polls, not wall time, so the
-  /// linger window is deterministic under test scheduling.
-  size_t coalesce_linger_polls = 2;
   /// Install SIGTERM/SIGINT handlers that trigger the graceful drain.
   /// The daemon main turns this on; tests drive RequestShutdown directly
   /// or raise() the signal themselves.

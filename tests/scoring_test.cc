@@ -149,108 +149,6 @@ TEST(LruCacheTest, PutOverwritesInPlaceWithoutEviction) {
   EXPECT_FALSE(cache.Contains(2));
 }
 
-TEST(LruCacheTest, ByteBudgetEvictsLruUntilUnderBudget) {
-  LruCache<int, std::string> cache(10, /*byte_budget=*/100);
-  cache.Put(1, "a", /*cost=*/40);
-  cache.Put(2, "b", /*cost=*/40);
-  EXPECT_EQ(cache.bytes(), 80u);
-  cache.Put(3, "c", /*cost=*/40);  // 120 > 100: evict LRU entry 1
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_EQ(cache.bytes(), 80u);
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, ByteBudgetNeverEvictsTheJustInsertedEntry) {
-  // An entry larger than the whole budget still gets cached (the caller
-  // holds a pointer into it); everything else is evicted around it.
-  LruCache<int, int> cache(4, /*byte_budget=*/10);
-  cache.Put(1, 7, /*cost=*/50);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(*cache.Get(1), 7);
-  cache.Put(2, 8, /*cost=*/60);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_EQ(*cache.Get(2), 8);
-  EXPECT_EQ(cache.bytes(), 60u);
-}
-
-TEST(LruCacheTest, ByteBudgetOverwriteAdjustsAccounting) {
-  LruCache<int, int> cache(4, /*byte_budget=*/100);
-  cache.Put(1, 1, /*cost=*/30);
-  cache.Put(2, 2, /*cost=*/30);
-  cache.Put(1, 10, /*cost=*/80);  // 80 + 30 > 100: evict LRU entry 2
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_EQ(cache.bytes(), 80u);
-  EXPECT_EQ(*cache.Get(1), 10);
-  cache.Clear();
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LruCacheTest, ZeroByteBudgetDisablesByteEviction) {
-  LruCache<int, int> cache(2);  // entry-count cap only
-  cache.Put(1, 1, /*cost=*/1000000);
-  cache.Put(2, 2, /*cost=*/1000000);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.bytes(), 2000000u);  // tracked, but never enforced
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(LruCacheTest, ExplicitZeroByteBudgetMatchesDefaultAndTracksEvictions) {
-  // Passing byte_budget=0 explicitly is the same contract as omitting it:
-  // costs are tracked for bytes() but only the entry-count cap evicts, and
-  // a count eviction must give the departing entry's cost back.
-  LruCache<int, int> cache(2, /*byte_budget=*/0);
-  EXPECT_EQ(cache.byte_budget(), 0u);
-  cache.Put(1, 1, /*cost=*/500);
-  cache.Put(2, 2, /*cost=*/300);
-  EXPECT_EQ(cache.bytes(), 800u);
-  cache.Put(3, 3, /*cost=*/200);  // count cap evicts entry 1
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.bytes(), 500u);
-}
-
-TEST(LruCacheTest, OversizedEntryIsEvictedOnceItIsNoLongerNewest) {
-  // A single entry over the whole budget caches (the caller holds its
-  // pointer), but the very next insert pushes it out: budget pressure
-  // always resolves against the LRU end, never the fresh entry.
-  LruCache<int, int> cache(8, /*byte_budget=*/100);
-  cache.Put(1, 1, /*cost=*/250);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.bytes(), 250u);
-  cache.Put(2, 2, /*cost=*/10);
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.bytes(), 10u);
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, OverwriteCostChurnDoesNotDriftAccounting) {
-  // Re-Put of an existing key swaps its cost in place. Churning the same
-  // two keys through growing and shrinking costs must leave bytes() equal
-  // to the sum of the live costs every step — any drift here would
-  // eventually wedge byte-budget eviction in a long-lived engine.
-  LruCache<int, int> cache(4, /*byte_budget=*/1u << 20);
-  size_t cost_a = 0, cost_b = 0;
-  for (int round = 0; round < 100; ++round) {
-    cost_a = static_cast<size_t>((round * 37) % 512);
-    cache.Put(1, round, cost_a);
-    EXPECT_EQ(cache.bytes(), cost_a + cost_b) << "round " << round;
-    cost_b = static_cast<size_t>((round * 91) % 256);
-    cache.Put(2, -round, cost_b);
-    EXPECT_EQ(cache.bytes(), cost_a + cost_b) << "round " << round;
-  }
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);  // always under budget
-  cache.Clear();
-  EXPECT_EQ(cache.bytes(), 0u);
-}
-
 // -------------------------------------------------------- Sparse tf-idf --
 
 TEST(TfIdfSparseTest, TransformSparseEqualsTransform) {
@@ -757,11 +655,10 @@ TEST(ScoringEngineStoreTest, TinyLruServesFromStoreAndStaysBitIdentical) {
   const Vec reference = model->ScoreCandidates(f.task, f.task.test);
   const std::string dir = BuildFixtureStore("tinylru");
 
-  // A one-entry, byte-budgeted LRU forces nearly every candidate through
-  // the store tier; with full coverage the compute tier never runs.
+  // A one-entry LRU forces nearly every candidate through the store tier;
+  // with full coverage the compute tier never runs.
   ScoringEngineOptions opts;
   opts.user_cache_capacity = 1;
-  opts.user_cache_bytes = 256;
   ScoringEngine engine(model.get(), f.extractor.get(), opts);
   ASSERT_TRUE(engine.AttachStore(dir).ok());
   const obs::RegistrySnapshot before = obs::Registry::Global().TakeSnapshot();
