@@ -63,4 +63,17 @@ std::string FormatDouble(double v, int digits) {
   return buf;
 }
 
+namespace string_util_internal {
+
+Status NumberFlagError(std::string_view flag, std::string_view text,
+                       bool integer, std::string_view lo,
+                       std::string_view hi) {
+  return Status::InvalidArgument(
+      std::string(flag) + (integer ? " wants an integer" : " wants a number") +
+      " in [" + std::string(lo) + ", " + std::string(hi) + "], got '" +
+      std::string(text) + "'");
+}
+
+}  // namespace string_util_internal
+
 }  // namespace retina

@@ -24,6 +24,7 @@
 #include "common/simd.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "common/trace.h"
 #include "serve/handler.h"
 #include "serve/server.h"
@@ -31,6 +32,9 @@
 namespace {
 
 using namespace retina;
+
+/// Cap on --workers: each one is a scoring engine and a pool thread.
+constexpr size_t kMaxWorkers = 256;
 
 struct Args {
   std::string data;
@@ -60,7 +64,7 @@ int Usage() {
       "                        the bound port is printed on startup).\n"
       "                        May be combined with --socket; at least one\n"
       "                        transport is required\n"
-      "  --workers N           scoring workers / engines (default 4)\n"
+      "  --workers N           scoring workers / engines, 1-256 (default 4)\n"
       "  --queue-capacity N    admission queue capacity; requests beyond\n"
       "                        it are shed with a kShed reply (default 256)\n"
       "  --coalesce-max-batch N  max same-tweet requests fused into one\n"
@@ -110,7 +114,6 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
       }
       return false;
     };
-    std::string value;
     if (take("--data", &args->data) || take("--model", &args->model) ||
         take("--socket", &args->socket) || take("--listen", &args->listen) ||
         take("--metrics-out", &args->metrics_out) ||
@@ -120,22 +123,25 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
         take("--simd", &args->simd)) {
       continue;
     }
-    if (take("--metrics-tick", &value)) {
-      args->metrics_tick = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--workers", &value)) {
-      args->workers = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--queue-capacity", &value)) {
-      args->queue_capacity = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--coalesce-max-batch", &value)) {
-      args->coalesce_max_batch =
-          static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
+    // Numeric flags parse strictly, and a bad value stops the daemon
+    // before anything loads: each worker is an engine and a pool thread.
+    Status number;
+    const auto numeric = [&](const char* name, size_t lo, size_t hi,
+                             size_t* out) {
+      std::string value;
+      if (!take(name, &value)) return false;
+      number = ParseNumberFlag(name, value, lo, hi, out);
+      return true;
+    };
+    if (numeric("--metrics-tick", 0, 1000000, &args->metrics_tick) ||
+        numeric("--workers", 1, kMaxWorkers, &args->workers) ||
+        numeric("--queue-capacity", 1, 1000000, &args->queue_capacity) ||
+        numeric("--coalesce-max-batch", 1, 4096,
+                &args->coalesce_max_batch)) {
+      if (number.ok()) continue;
+      std::fprintf(stderr, "%s\n", number.ToString().c_str());
+      *rc = 2;
+      return false;
     }
     *rc = UnknownFlag(arg);
     return false;
@@ -181,7 +187,7 @@ int main(int argc, char** argv) {
 
   Stopwatch load_timer;
   serve::RequestHandlerOptions hopts;
-  hopts.num_workers = args.workers == 0 ? 1 : args.workers;
+  hopts.num_workers = args.workers;
   auto handler_result =
       serve::RequestHandler::Open(args.data, args.model, hopts);
   if (!handler_result.ok()) {
@@ -220,7 +226,7 @@ int main(int argc, char** argv) {
   std::printf("serving on %s (%zu workers, queue capacity %zu); "
               "SIGTERM drains\n",
               transports.c_str(), handler->num_workers(),
-              args.queue_capacity == 0 ? size_t{1} : args.queue_capacity);
+              args.queue_capacity);
   std::fflush(stdout);
 
   st = server.Wait();

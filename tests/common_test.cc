@@ -424,6 +424,30 @@ TEST(StringTest, StartsWithAndFormat) {
   EXPECT_EQ(FormatDouble(0.5, 0), "0");
 }
 
+TEST(StringTest, ParseNumberFlagIsStrict) {
+  size_t n = 7;
+  EXPECT_TRUE(ParseNumberFlag("--n", "256", size_t{1}, size_t{256}, &n).ok());
+  EXPECT_EQ(n, 256u);
+  for (const char* bad : {"", "-1", "+3", " 3", "3 ", "3x", "0x10", "abc",
+                          "257", "0", "99999999999999999999999"}) {
+    const Status st = ParseNumberFlag("--n", bad, size_t{1}, size_t{256}, &n);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "'" << bad << "'";
+  }
+  EXPECT_EQ(n, 256u);  // untouched by every rejection
+  EXPECT_EQ(ParseNumberFlag("--n", "abc", size_t{1}, size_t{256}, &n)
+                .ToString(),
+            "InvalidArgument: --n wants an integer in [1, 256], got 'abc'");
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumberFlag("--d", "1.5", 0.0, 2.0, &d).ok());
+  EXPECT_EQ(d, 1.5);
+  EXPECT_TRUE(ParseNumberFlag("--d", "2e-1", 0.0, 2.0, &d).ok());
+  EXPECT_EQ(d, 0.2);
+  for (const char* bad : {"", "-0.5", "2.5", "nan", "inf", "1.5s", " 1"}) {
+    EXPECT_FALSE(ParseNumberFlag("--d", bad, 0.0, 2.0, &d).ok()) << bad;
+  }
+}
+
 // ----------------------------------------------------------------- Bytes --
 
 TEST(BytesTest, PutWritesLittleEndianAndReaderReadsItBack) {

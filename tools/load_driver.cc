@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -94,7 +93,8 @@ int Usage() {
       "                         (default 20,40,80; >= 3 points for the\n"
       "                         throughput-vs-latency curve)\n"
       "  --requests N           requests per point across all connections\n"
-      "  --connections C        concurrent client connections (default 4)\n"
+      "  --connections C        concurrent client connections, 1-256\n"
+      "                         (default 4)\n"
       "  --users-per-request K  candidate users per score request\n"
       "  --hot-set K            concentrate tweet ids on K hot tweets\n"
       "                         drawn Zipf(--skew) instead of uniform —\n"
@@ -126,14 +126,29 @@ int UnknownFlag(const std::string& arg) {
   return 2;
 }
 
-bool ParseQpsList(const std::string& list, std::vector<double>* out) {
+/// Cap on --connections: each connection runs a sender and a receiver
+/// thread.
+constexpr size_t kMaxConnections = 256;
+
+Status ParseQpsList(const std::string& list, std::vector<double>* out) {
   out->clear();
   for (const std::string& part : Split(list, ',')) {
-    const double v = std::atof(part.c_str());
-    if (v <= 0.0) return false;
+    double v = 0.0;
+    RETINA_RETURN_NOT_OK(ParseNumberFlag("--qps", part, 0.0, 1e9, &v));
+    if (v == 0.0) {
+      return Status::InvalidArgument("--qps wants positive rates, got '" +
+                                     list + "'");
+    }
     out->push_back(v);
   }
-  return !out->empty();
+  return Status::OK();
+}
+
+/// Prints a one-line Status rejection and fails argument parsing.
+bool Reject(const Status& st, int* rc) {
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  *rc = 2;
+  return false;
 }
 
 bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
@@ -175,33 +190,25 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
       continue;
     }
     if (take("--qps", &qps_list)) continue;
-    if (take("--requests", &value)) {
-      args->requests = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--connections", &value)) {
-      args->connections = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--users-per-request", &value)) {
-      args->users_per_request = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--hot-set", &value)) {
-      args->hot_set = static_cast<size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--skew", &value)) {
-      args->skew = std::atof(value.c_str());
-      continue;
-    }
-    if (take("--seed", &value)) {
-      args->seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (take("--timeout-secs", &value)) {
-      args->timeout_secs = std::atof(value.c_str());
-      continue;
+    // Numeric flags parse strictly, and a bad value stops the driver
+    // before it connects: each connection is two threads.
+    Status number;
+    const auto numeric = [&](const char* name, auto lo, auto hi, auto* out) {
+      if (!take(name, &value)) return false;
+      number = ParseNumberFlag(name, value, lo, hi, out);
+      return true;
+    };
+    if (numeric("--requests", size_t{1}, size_t{10000000}, &args->requests) ||
+        numeric("--connections", size_t{1}, kMaxConnections,
+                &args->connections) ||
+        numeric("--users-per-request", size_t{1}, size_t{65536},
+                &args->users_per_request) ||
+        numeric("--hot-set", size_t{0}, size_t{1000000}, &args->hot_set) ||
+        numeric("--skew", 0.0, 100.0, &args->skew) ||
+        numeric("--seed", uint64_t{0}, UINT64_MAX, &args->seed) ||
+        numeric("--timeout-secs", 0.0, 86400.0, &args->timeout_secs)) {
+      if (number.ok()) continue;
+      return Reject(number, rc);
     }
     if (arg == "--smoke") {
       args->smoke = true;
@@ -210,10 +217,9 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
     *rc = UnknownFlag(arg);
     return false;
   }
-  if (!qps_list.empty() && !ParseQpsList(qps_list, &args->qps)) {
-    std::fprintf(stderr, "bad --qps list: %s\n", qps_list.c_str());
-    *rc = 2;
-    return false;
+  if (!qps_list.empty()) {
+    const Status qps = ParseQpsList(qps_list, &args->qps);
+    if (!qps.ok()) return Reject(qps, rc);
   }
   if (args->smoke) {
     args->requests = std::min<size_t>(args->requests, 48);
@@ -223,9 +229,6 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
     *rc = Usage();
     return false;
   }
-  if (args->connections == 0) args->connections = 1;
-  if (args->users_per_request == 0) args->users_per_request = 1;
-  if (args->skew < 0.0) args->skew = 0.0;
   return true;
 }
 
