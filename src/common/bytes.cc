@@ -12,17 +12,13 @@ uint64_t Fnv1a64(const void* data, size_t n, uint64_t basis) {
   return h;
 }
 
-AtomicFile::~AtomicFile() { Discard(); }
-
-void AtomicFile::Discard() {
+AtomicFile::~AtomicFile() {
   if (file_ == nullptr) return;
   std::fclose(file_);
-  file_ = nullptr;
   std::remove(tmp_.c_str());
 }
 
 Status AtomicFile::Open(const std::string& path) {
-  Discard();
   path_ = path;
   tmp_ = path + ".tmp";
   file_ = std::fopen(tmp_.c_str(), "wb");
@@ -33,9 +29,6 @@ Status AtomicFile::Open(const std::string& path) {
 }
 
 Status AtomicFile::Append(std::string_view bytes) {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("not open for writing: " + tmp_);
-  }
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
     return Status::IOError("short write: " + tmp_);
   }
@@ -43,9 +36,6 @@ Status AtomicFile::Append(std::string_view bytes) {
 }
 
 Status AtomicFile::Commit() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("not open for writing: " + tmp_);
-  }
   const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
   if (!closed) {

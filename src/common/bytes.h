@@ -1,23 +1,9 @@
 // The byte codec every binary format shares: the RETINAc1 checkpoint
 // (io/checkpoint.h), the user store's blocks.dat (store/feature_store.h)
-// and the serve wire protocol (serve/protocol.h).
-//
-//   Put*          append a little-endian integer, or a double's IEEE-754
-//                 bit pattern as a little-endian u64
-//   LoadLe*       decode the same at a raw pointer, for random-access
-//                 tables (the store's blocks, a frame's length prefix)
-//   ByteReader    forward reads over a string_view. A read that would run
-//                 past the end returns false and leaves the position where
-//                 it was. Every bound is one 64-bit test, `n > remaining()`,
-//                 and Fits(count, width) divides instead of multiplying, so
-//                 a hostile count can never wrap a check.
-//   Fnv1a64       FNV-1a 64 from the caller's offset basis
-//   AtomicFile    write `path.tmp`, rename it over `path` on Commit
-//   ReadFileToString
-//
-// Every format is little-endian on every host. Put*, LoadLe* and the
-// ByteReader reads are inline and allocate nothing beyond the string they
-// append to: the daemon encodes and decodes with them on every request.
+// and the serve wire protocol (serve/protocol.h). Every format is
+// little-endian on every host. Put*, LoadLe* and ByteReader are inline and
+// allocate nothing beyond the string they append to: the daemon runs them
+// on every request.
 
 #ifndef RETINA_COMMON_BYTES_H_
 #define RETINA_COMMON_BYTES_H_
@@ -47,21 +33,21 @@ constexpr uint8_t HostEndianTag() {
   return std::endian::native == std::endian::little ? 1 : 2;
 }
 
-/// `v` in little-endian byte order (an involution: also converts back).
+/// `v` with its bytes in little-endian order; converts back as well.
 template <typename T>
 constexpr T ToLittleEndian(T v) {
   static_assert(std::is_unsigned_v<T>);
-  if constexpr (std::endian::native == std::endian::little || sizeof(T) == 1) {
-    return v;
-  } else {
+  if constexpr (std::endian::native == std::endian::big) {
     T out = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      out = static_cast<T>((out << 8) | ((v >> (8 * i)) & 0xFF));
+    for (size_t i = 0; i < sizeof(T); ++i, v >>= 8) {
+      out = static_cast<T>((out << 8) | (v & 0xFF));
     }
     return out;
   }
+  return v;
 }
 
+/// Appends `v` little-endian.
 template <typename T>
 inline void PutLe(std::string* out, T v) {
   v = ToLittleEndian(v);
@@ -70,19 +56,20 @@ inline void PutLe(std::string* out, T v) {
   out->append(buf, sizeof(T));
 }
 
-inline void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+inline void PutU8(std::string* out, uint8_t v) { PutLe(out, v); }
 inline void PutU16(std::string* out, uint16_t v) { PutLe(out, v); }
 inline void PutU32(std::string* out, uint32_t v) { PutLe(out, v); }
 inline void PutU64(std::string* out, uint64_t v) { PutLe(out, v); }
+/// Two's complement in a u64.
 inline void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
+  PutLe(out, static_cast<uint64_t>(v));
 }
+/// The IEEE-754 bit pattern in a u64, so doubles round-trip bit-exactly.
 inline void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
+  PutLe(out, std::bit_cast<uint64_t>(v));
 }
 
+/// Decodes a little-endian T at `p` (no alignment needed).
 template <typename T>
 inline T LoadLe(const void* p) {
   T v;
@@ -96,7 +83,10 @@ inline double LoadLeF64(const void* p) {
   return std::bit_cast<double>(LoadLe64(p));
 }
 
-/// \brief Bounds-checked forward reader over little-endian bytes.
+/// \brief Forward, bounds-checked reads of little-endian bytes. A read that
+/// would run past the end returns false and leaves the position where it
+/// was. Every bound is one 64-bit test, `n > remaining()`, so a hostile
+/// count cannot wrap a check.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
@@ -105,28 +95,19 @@ class ByteReader {
   size_t remaining() const { return bytes_.size() - pos_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }
 
-  /// True when `count` items of `width` bytes each fit in what is left.
-  /// A count whose byte size overflows 64 bits never fits.
+  /// True when `count` items of `width` bytes each fit in what is left. It
+  /// divides rather than multiplies, so a count whose byte size overflows
+  /// 64 bits never fits.
   bool Fits(uint64_t count, uint64_t width) const {
     return width == 0 || count <= remaining() / width;
   }
 
-  bool ReadU8(uint8_t* v) { return ReadLe(v); }
-  bool ReadU16(uint16_t* v) { return ReadLe(v); }
-  bool ReadU32(uint32_t* v) { return ReadLe(v); }
-  bool ReadU64(uint64_t* v) { return ReadLe(v); }
-  bool ReadI64(int64_t* v) {
-    uint64_t bits = 0;
-    if (!ReadLe(&bits)) return false;
-    *v = static_cast<int64_t>(bits);
-    return true;
-  }
-  bool ReadF64(double* v) {
-    uint64_t bits = 0;
-    if (!ReadLe(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
+  bool ReadU8(uint8_t* v) { return ReadLe<uint8_t>(v); }
+  bool ReadU16(uint16_t* v) { return ReadLe<uint16_t>(v); }
+  bool ReadU32(uint32_t* v) { return ReadLe<uint32_t>(v); }
+  bool ReadU64(uint64_t* v) { return ReadLe<uint64_t>(v); }
+  bool ReadI64(int64_t* v) { return ReadLe<uint64_t>(v); }
+  bool ReadF64(double* v) { return ReadLe<uint64_t>(v); }
 
   /// Copies the next `n` bytes into `*out`.
   bool ReadBytes(uint64_t n, std::string* out) {
@@ -137,11 +118,12 @@ class ByteReader {
   }
 
  private:
-  template <typename T>
+  /// Reads a little-endian Bits and bit-casts it to `*v`.
+  template <typename Bits, typename T>
   bool ReadLe(T* v) {
-    if (sizeof(T) > remaining()) return false;
-    *v = LoadLe<T>(bytes_.data() + pos_);
-    pos_ += sizeof(T);
+    if (sizeof(Bits) > remaining()) return false;
+    *v = std::bit_cast<T>(LoadLe<Bits>(bytes_.data() + pos_));
+    pos_ += sizeof(Bits);
     return true;
   }
 
@@ -152,7 +134,7 @@ class ByteReader {
 /// \brief Writes a file whole or not at all. Bytes go to `path.tmp`, and
 /// Commit closes it and renames it over `path`, so a reader of `path` sees
 /// the previous file or the new one, never a prefix. Destroyed before
-/// Commit, it closes and removes the temp.
+/// Commit, it removes the temp. Append and Commit need a successful Open.
 class AtomicFile {
  public:
   AtomicFile() = default;
@@ -171,8 +153,6 @@ class AtomicFile {
   static Status Write(const std::string& path, std::string_view bytes);
 
  private:
-  void Discard();
-
   std::string path_;
   std::string tmp_;
   std::FILE* file_ = nullptr;
